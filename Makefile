@@ -5,7 +5,7 @@ GOVULNCHECK ?= govulncheck
 COVERPROFILE ?= cover.out
 BENCHCOUNT ?= 5
 
-.PHONY: all build vet test test-nosimd test-race test-shuffle fuzz bench bench-svm bench-svm-json bench-scan bench-scan-json bench-scan-incremental bench-train bench-train-json bench-extract bench-extract-json docs-check check lint cover cover-check e2e
+.PHONY: all build vet test test-nosimd test-race test-shuffle fuzz bench bench-svm bench-svm-json bench-scan bench-scan-json bench-scan-incremental bench-train bench-train-json bench-extract bench-extract-json bench-e2e docs-check check lint cover cover-check e2e
 
 all: check
 
@@ -107,6 +107,19 @@ bench-train:
 # EXPERIMENTS.md).
 bench-train-json:
 	HOTSPOT_BENCH_JSON=1 $(GO) test -run TestWriteBenchTrainJSON -count=1 -timeout 30m ./internal/train/
+
+# End-to-end benchmark (e2ebench/, declared in BENCHMARK.json): every
+# workload on inputs generated from E2E_SEED for BENCHMARK.json's 25 s
+# run, each printing one JSON line of end-to-end metrics. E2E_TRACE=1
+# adds a traced op and the per-layer metrics. Fixtures and the build
+# cache go under .bench_build/.
+E2E_SEED ?= 1
+E2E_TRACE ?= 0
+bench-e2e:
+	for w in train-b3 scan-b3 rescan-eco; do \
+		bash e2ebench/run.sh --workload $$w --seed $(E2E_SEED) \
+			--seconds 25 --trace $(E2E_TRACE) || exit 1; \
+	done
 
 # Markdown documentation lint: relative links + anchors resolve, curated
 # misspelling list (cmd/docscheck, no external tools).

@@ -167,7 +167,7 @@ func cmdTrain(args []string) error {
 		st.HotspotClusters, st.NonHotspotCentroids, *out)
 	if *stats {
 		tel := det.Telemetry()
-		printObservability(&tel, nil, reg)
+		printObservability(os.Stdout, &tel, nil, reg)
 	}
 	return nil
 }
@@ -292,7 +292,7 @@ func cmdDetect(args []string) error {
 		trainDur.Round(time.Millisecond), rep.Runtime.Round(time.Millisecond))
 	if *stats {
 		tel := det.Telemetry()
-		printObservability(&tel, &rep.Telemetry, reg)
+		printObservability(os.Stdout, &tel, &rep.Telemetry, reg)
 	}
 	return nil
 }

@@ -4,11 +4,14 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"hotspot/internal/obs"
@@ -75,24 +78,24 @@ func startDebugServer(addr string, reg *obs.Registry) error {
 	return nil
 }
 
-// printObservability renders the post-run observability report: the
+// printObservability renders the post-run observability report to w: the
 // training and detection stage tables plus the registry snapshot.
-func printObservability(trainTel, detectTel *obs.Telemetry, reg *obs.Registry) {
-	fmt.Printf("simd dispatch: %s\n", simd.Active())
+func printObservability(w io.Writer, trainTel, detectTel *obs.Telemetry, reg *obs.Registry) {
+	fmt.Fprintf(w, "simd dispatch: %s\n", simd.Active())
 	if trainTel != nil && len(trainTel.Stages)+len(trainTel.Counters) > 0 {
-		fmt.Println("training stages:")
-		fmt.Println(trainTel.String())
+		fmt.Fprintln(w, "training stages:")
+		fmt.Fprintln(w, trainTel.String())
 	}
 	if detectTel != nil && len(detectTel.Stages)+len(detectTel.Counters) > 0 {
-		fmt.Println("detection stages:")
-		fmt.Println(detectTel.String())
+		fmt.Fprintln(w, "detection stages:")
+		fmt.Fprintln(w, detectTel.String())
 	}
 	if reg == nil {
 		return
 	}
 	snap := reg.Snapshot()
 	if len(snap.Counters) > 0 {
-		fmt.Println("counters:")
+		fmt.Fprintln(w, "counters:")
 		width := 0
 		for name := range snap.Counters {
 			if len(name) > width {
@@ -100,11 +103,11 @@ func printObservability(trainTel, detectTel *obs.Telemetry, reg *obs.Registry) {
 			}
 		}
 		for _, name := range sortedKeys(snap.Counters) {
-			fmt.Printf("  %-*s %12d\n", width, name, snap.Counters[name])
+			fmt.Fprintf(w, "  %-*s %12d\n", width, name, snap.Counters[name])
 		}
 	}
 	if len(snap.Histograms) > 0 {
-		fmt.Println("histograms:")
+		fmt.Fprintln(w, "histograms:")
 		width := 0
 		for name := range snap.Histograms {
 			if len(name) > width {
@@ -113,14 +116,29 @@ func printObservability(trainTel, detectTel *obs.Telemetry, reg *obs.Registry) {
 		}
 		for _, name := range sortedKeys(snap.Histograms) {
 			h := snap.Histograms[name]
-			fmt.Printf("  %-*s n=%-5d p50=%-10s p95=%-10s max=%s\n",
-				width, name, h.Count, seconds(h.P50), seconds(h.P95), seconds(h.Max))
+			unit := histUnit(name)
+			fmt.Fprintf(w, "  %-*s n=%-5d p50=%-10s p95=%-10s max=%s\n",
+				width, name, h.Count, unit(h.P50), unit(h.P95), unit(h.Max))
 		}
 	}
 }
 
+// histUnit returns the formatter for a histogram's samples. Histograms
+// whose name ends in "seconds" hold durations; the rest hold plain
+// quantities such as bytes per clip or batch sizes.
+func histUnit(name string) func(float64) string {
+	if strings.HasSuffix(name, "seconds") {
+		return seconds
+	}
+	return plain
+}
+
 func seconds(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+}
+
+func plain(v float64) string {
+	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -276,7 +276,7 @@ func finishScan(rep core.Report, st core.ScanStats, err error, b *iccad.Benchmar
 	}
 	if stats {
 		tel := det.Telemetry()
-		printObservability(&tel, &rep.Telemetry, reg)
+		printObservability(os.Stdout, &tel, &rep.Telemetry, reg)
 	}
 	return nil
 }

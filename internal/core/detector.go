@@ -229,9 +229,9 @@ func upsample(hs []*clip.Pattern, shift int32) []*clip.Pattern {
 }
 
 // trainClusterKernel fits one per-cluster kernel: the cluster's hotspots
-// against all nonhotspot centroids, with iterative C/gamma doubling seeded
-// by the group's hyperparameter override (when set).
-func trainClusterKernel(cluster topo.Cluster, repr *clip.Pattern, members, centroids []*clip.Pattern, cfg Config, gp GroupParams, onRound func(int, int, float64, float64, float64)) (*kernelUnit, int, error) {
+// against all nonhotspot centroids (pre-extracted), with iterative C/gamma
+// doubling seeded by the group's hyperparameter override (when set).
+func trainClusterKernel(cluster topo.Cluster, repr *clip.Pattern, members []*clip.Pattern, centroids []features.Extracted, cfg Config, gp GroupParams, onRound func(int, int, float64, float64, float64)) (*kernelUnit, int, error) {
 	unit := &kernelUnit{
 		key:      cluster.Key,
 		centroid: cluster.Centroid,
@@ -329,10 +329,16 @@ func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRoun
 	contributing := map[int]bool{}
 	s := getScratch()
 	defer putScratch(s)
+	// The self-evaluation bypasses the pre-screen cascade. The cascade is
+	// exact, so the verdicts are the same; but the training clips hardly
+	// ever repeat a core geometry, so the verdict memo would only fill up
+	// and stay live through the feedback solve and beyond.
+	evalCfg := cfg
+	evalCfg.DisablePrescreen = true
 	for lo := 0; lo < len(nonhotspots); lo += detectChunk {
 		hi := min(lo+detectChunk, len(nonhotspots))
 		chunk := nonhotspots[lo:hi]
-		for i, v := range d.evalBatchScratch(s, chunk, cfg) {
+		for i, v := range d.evalBatchScratch(s, chunk, evalCfg) {
 			if v.flagged {
 				extras = append(extras, chunk[i])
 				contributing[v.kidx] = true
@@ -366,15 +372,20 @@ func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRoun
 		return
 	}
 	fb := &feedbackUnit{slots: cfg.BasicSlots}
-	rows := make([][]float64, 0, len(positives)+len(negatives))
-	labels := make([]int, 0, cap(rows))
-	for _, p := range positives {
-		rows = append(rows, fb.vector(p))
-		labels = append(labels, +1)
-	}
-	for _, p := range negatives {
-		rows = append(rows, fb.vector(p))
-		labels = append(labels, -1)
+	// positives is this function's own slice, so appending cannot clobber
+	// a kernel's hotspots. Each row goes to its pattern's slot, so the row
+	// order does not depend on which worker extracts it.
+	labelled := append(positives, negatives...)
+	rows := make([][]float64, len(labelled))
+	labels := make([]int, len(labelled))
+	parallelFor(len(labelled), cfg.Workers, func(i int) {
+		rows[i] = fb.vector(labelled[i])
+	})
+	for i := range labels {
+		labels[i] = -1
+		if i < len(positives) {
+			labels[i] = +1
+		}
 	}
 	fb.scaler = svm.FitScaler(rows)
 	scaled := fb.scaler.ApplyAll(rows)

@@ -144,7 +144,9 @@ func (p *Prepared) GroupDataset(i int) (rows [][]float64, labels []int) {
 	repr := p.hs[cluster.Representative]
 	ex := features.NewExtractor(repr.CoreRects(), repr.Core)
 	members := p.groupMembers(cluster)
-	rows, labels, _ = groupRows(ex, members, p.centroids)
+	// The search calls this per group on its own workers, so the centroids
+	// are extracted serially here.
+	rows, labels, _ = groupRows(ex, members, extractCores(p.centroids, 1))
 	return rows, labels
 }
 
@@ -191,6 +193,11 @@ func (p *Prepared) Train() (*Detector, error) {
 
 	// Train one kernel per hotspot cluster, in parallel (§III-G).
 	sp := obs.Begin(tel, cfg.Obs, "train.kernels")
+	// Every kernel trains against all nonhotspot centroids, so their core
+	// features are extracted once here and shared; each kernel extracts
+	// only its own members, which no other kernel has. This stays a local
+	// so that nothing holds it once the kernel stage is done.
+	centroids := extractCores(p.centroids, cfg.Workers)
 	units := make([]*kernelUnit, len(p.clusters))
 	iters := make([]int, len(p.clusters))
 	errs := make([]error, len(p.clusters))
@@ -203,7 +210,7 @@ func (p *Prepared) Train() (*Detector, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			units[ci], iters[ci], errs[ci] = trainClusterKernel(cluster, p.hs[cluster.Representative],
-				p.groupMembers(cluster), p.centroids, cfg, groupParams(cfg, ci),
+				p.groupMembers(cluster), centroids, cfg, groupParams(cfg, ci),
 				roundEmitter(emit, "train.kernels", ci))
 		}(ci, cluster)
 	}
@@ -233,19 +240,31 @@ func (p *Prepared) Train() (*Detector, error) {
 
 // groupRows builds one topology group's labelled dataset in ex's slot
 // layout and returns the scaled rows, the +1/-1 labels, and the scaler.
-func groupRows(ex *features.Extractor, members, centroids []*clip.Pattern) ([][]float64, []int, *svm.Scaler) {
+// The member hotspots are extracted here; the centroids come extracted
+// (extractCores), since every group shares them.
+func groupRows(ex *features.Extractor, members []*clip.Pattern, centroids []features.Extracted) ([][]float64, []int, *svm.Scaler) {
 	rows := make([][]float64, 0, len(members)+len(centroids))
 	labels := make([]int, 0, len(members)+len(centroids))
 	for _, p := range members {
 		rows = append(rows, ex.Vector(p.CoreRects(), p.Core))
 		labels = append(labels, +1)
 	}
-	for _, p := range centroids {
-		rows = append(rows, ex.Vector(p.CoreRects(), p.Core))
+	for _, c := range centroids {
+		rows = append(rows, ex.VectorFrom(c))
 		labels = append(labels, -1)
 	}
 	sc := svm.FitScaler(rows)
 	return sc.ApplyAll(rows), labels, sc
+}
+
+// extractCores extracts each pattern's core-region features across up to
+// workers goroutines, in pattern order.
+func extractCores(ps []*clip.Pattern, workers int) []features.Extracted {
+	out := make([]features.Extracted, len(ps))
+	parallelFor(len(ps), workers, func(i int) {
+		out[i] = features.ExtractAll(ps[i].CoreRects(), ps[i].Core)
+	})
+	return out
 }
 
 // basicRows builds the Basic baseline's direct-feature dataset.

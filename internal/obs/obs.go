@@ -80,9 +80,11 @@ func (g *Gauge) Value() int64 {
 // count, sum, and max are exact over the histogram's lifetime.
 const histRing = 1024
 
-// Histogram records float64 observations (by convention, durations in
-// seconds) and reports count, sum, max, and approximate p50/p95 over a
-// sliding window of recent samples. A nil *Histogram is a no-op.
+// Histogram records float64 observations and reports count, sum, max,
+// and approximate p50/p95 over a sliding window of recent samples. By
+// convention a histogram whose name ends in "seconds" holds durations in
+// seconds; the others hold plain quantities (bytes, batch sizes, scores).
+// A nil *Histogram is a no-op.
 type Histogram struct {
 	mu    sync.Mutex
 	count int64

@@ -167,17 +167,30 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithTimeout(r.Context(), d)
 }
 
-func (s *Server) body(r *http.Request) io.Reader {
-	return io.LimitReader(r.Body, s.cfg.MaxBodyBytes)
+// body caps a request body at MaxBodyBytes. A read past the cap fails
+// with *http.MaxBytesError instead of ending the body early, so an
+// oversized request is refused (see bodyStatus) rather than decoded cut.
+func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+}
+
+// bodyStatus maps a request-body decoding error to its status: 413 when
+// the body ran past MaxBodyBytes, 400 for anything else.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // handleDetect classifies a posted clip set. Every clip is enqueued on the
 // shared pool (coalescing across requests); a full queue rejects the whole
 // request with 429 before any waiting happens.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	patterns, err := clip.ReadSet(s.body(r))
+	patterns, err := clip.ReadSet(s.body(w, r))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, bodyStatus(err), "%v", err)
 		return
 	}
 	if len(patterns) == 0 {
@@ -241,8 +254,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req scanRequest
-	if err := json.NewDecoder(s.body(r)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding scan request: %v", err)
+	if err := json.NewDecoder(s.body(w, r)).Decode(&req); err != nil {
+		writeError(w, bodyStatus(err), "decoding scan request: %v", err)
 		return
 	}
 	if len(req.Rects) == 0 {
@@ -343,8 +356,8 @@ func (s *Server) handleScanWindow(ctx context.Context, w http.ResponseWriter, de
 // requests in flight finish on the detector they started with.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
-	if err := json.NewDecoder(s.body(r)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "decoding reload request: %v", err)
+	if err := json.NewDecoder(s.body(w, r)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, bodyStatus(err), "decoding reload request: %v", err)
 		return
 	}
 	path := req.Path

@@ -832,3 +832,33 @@ func TestScanEndpointStore(t *testing.T) {
 		t.Fatalf("opted-out scan still touched the store: store=%+v tiles=%+v", optedOut.Store, optedOut.Tiles)
 	}
 }
+
+// TestOversizedBody413 posts a body one byte over MaxBodyBytes to each
+// /v1 endpoint that reads one and expects 413. Each body is a JSON object
+// padded with whitespace before its closing brace, so the cut always
+// breaks the JSON; the same object padded to exactly the cap must get
+// past the size check.
+func TestOversizedBody413(t *testing.T) {
+	b, _ := fixture(t)
+	const limit = 16 << 10
+	bodies := map[string][]byte{
+		"/v1/detect": bytes.TrimSpace(clipSetBody(t, b.Train[:1]).Bytes()),
+		"/v1/scan":   []byte(`{"rects":[[0,0,1200,200]]}`),
+		"/v1/reload": []byte(`{"path":"/nonexistent/model.json"}`),
+	}
+	s := testServer(t, nil, Config{MaxBodyBytes: limit})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for path, obj := range bodies {
+		if len(obj) > limit {
+			t.Fatalf("%s: fixture body is %d bytes, over the %d-byte cap", path, len(obj), limit)
+		}
+		for _, size := range []int{limit + 1, limit} {
+			body := append(append(obj[:len(obj)-1:len(obj)-1], bytes.Repeat([]byte(" "), size-len(obj))...), '}')
+			resp, data := postJSON(t, ts.URL+path, bytes.NewReader(body))
+			if got := resp.StatusCode == http.StatusRequestEntityTooLarge; got != (size > limit) {
+				t.Errorf("%s with a %d-byte body under a %d-byte cap: status %d (%s)", path, size, limit, resp.StatusCode, data)
+			}
+		}
+	}
+}

@@ -135,6 +135,8 @@ func Train(x [][]float64, y []int, p Params) (*Model, error) {
 		alpha:  make([]float64, n),
 		grad:   make([]float64, n),
 		cBound: make([]float64, n),
+		upPen:  make([]float64, n),
+		lowPen: make([]float64, n),
 		active: make([]int, n),
 		cache:  newKernelCache(flat, norms, n, dim, p.Gamma, p.CacheBytes, p.Obs.Counter("svm.kernel_cache_misses")),
 	}
@@ -147,6 +149,7 @@ func Train(x [][]float64, y []int, p Params) (*Model, error) {
 		}
 		s.grad[i] = -1 // gradient of 1/2 a'Qa - e'a at a = 0
 		s.active[i] = i
+		s.setPenalties(i)
 	}
 
 	// SMO main loop with shrinking: every shrinkPeriod iterations,
@@ -208,6 +211,12 @@ type solver struct {
 	alpha  []float64
 	grad   []float64 // grad_i = sum_j Q_ij alpha_j - 1
 	cBound []float64
+	// upPen and lowPen encode each variable's membership in WSS1's I_up
+	// and I_low sets as 0 (member) or +Inf (not a member), so selectPair
+	// scans without membership branches. Membership depends only on
+	// alpha, so update refreshes the two entries whose alpha it changes.
+	upPen  []float64
+	lowPen []float64
 	gamma  float64
 	tol    float64
 	cache  *kernelCache
@@ -219,26 +228,49 @@ type solver struct {
 	unshrunk bool
 }
 
+// inUp reports whether variable t is in I_up: y=+1 && a<C, or y=-1 && a>0.
+func (s *solver) inUp(t int) bool {
+	return (s.y[t] > 0 && s.alpha[t] < s.cBound[t]) || (s.y[t] < 0 && s.alpha[t] > 0)
+}
+
+// inLow reports whether variable t is in I_low: y=+1 && a>0, or y=-1 && a<C.
+func (s *solver) inLow(t int) bool {
+	return (s.y[t] > 0 && s.alpha[t] > 0) || (s.y[t] < 0 && s.alpha[t] < s.cBound[t])
+}
+
+// setPenalties recomputes variable t's I_up/I_low penalties from its alpha.
+func (s *solver) setPenalties(t int) {
+	s.upPen[t], s.lowPen[t] = math.Inf(1), math.Inf(1)
+	if s.inUp(t) {
+		s.upPen[t] = 0
+	}
+	if s.inLow(t) {
+		s.lowPen[t] = 0
+	}
+}
+
 // selectPair picks the maximal violating pair (WSS1 of Fan, Chen, Lin)
-// over the active set.
+// over the active set: i maximizes -y G over I_up and j minimizes it over
+// I_low, each the first such index in active order. A non-member's
+// penalty turns its candidate value into -Inf for i or +Inf for j (NaN
+// for an infinite gradient), none of which beats the running extreme, so
+// one pass of two compares per variable selects exactly the pair that
+// membership tests would.
 func (s *solver) selectPair() (i, j int, gap float64) {
 	i, j = -1, -1
 	gmax := math.Inf(-1)
 	gmin := math.Inf(1)
+	// Cutting every slice to len(y) lets one bounds check per variable
+	// cover all four, which keeps the loop's state in registers.
+	y := s.y
+	grad, upPen, lowPen := s.grad[:len(y)], s.upPen[:len(y)], s.lowPen[:len(y)]
 	for _, t := range s.active {
-		// I_up: y=+1 && a<C, or y=-1 && a>0.
-		if (s.y[t] > 0 && s.alpha[t] < s.cBound[t]) || (s.y[t] < 0 && s.alpha[t] > 0) {
-			if v := -s.y[t] * s.grad[t]; v > gmax {
-				gmax = v
-				i = t
-			}
+		v := -y[t] * grad[t]
+		if u := v - upPen[t]; u > gmax {
+			gmax, i = u, t
 		}
-		// I_low: y=+1 && a>0, or y=-1 && a<C.
-		if (s.y[t] > 0 && s.alpha[t] > 0) || (s.y[t] < 0 && s.alpha[t] < s.cBound[t]) {
-			if v := -s.y[t] * s.grad[t]; v < gmin {
-				gmin = v
-				j = t
-			}
+		if l := v + lowPen[t]; l < gmin {
+			gmin, j = l, t
 		}
 	}
 	if i == -1 || j == -1 {
@@ -296,11 +328,15 @@ func (s *solver) update(i, j int) {
 		return
 	}
 	s.alpha[i], s.alpha[j] = ai, aj
+	s.setPenalties(i)
+	s.setPenalties(j)
 	// Gradient maintenance over the active set only; shrunken entries are
 	// reconstructed on demand.
 	yid, yjd := yi*dAi, yj*dAj
+	y := s.y
+	grad, ki, kj := s.grad[:len(y)], ki[:len(y)], kj[:len(y)] // as in selectPair
 	for _, t := range s.active {
-		s.grad[t] += s.y[t] * (yid*ki[t] + yjd*kj[t])
+		grad[t] += y[t] * (yid*ki[t] + yjd*kj[t])
 	}
 }
 
@@ -323,12 +359,12 @@ func (s *solver) shrink() {
 	gmax1 := math.Inf(-1) // max over I_up of -y G
 	gmax2 := math.Inf(-1) // max over I_low of y G
 	for _, t := range s.active {
-		if (s.y[t] > 0 && s.alpha[t] < s.cBound[t]) || (s.y[t] < 0 && s.alpha[t] > 0) {
+		if s.inUp(t) {
 			if v := -s.y[t] * s.grad[t]; v > gmax1 {
 				gmax1 = v
 			}
 		}
-		if (s.y[t] > 0 && s.alpha[t] > 0) || (s.y[t] < 0 && s.alpha[t] < s.cBound[t]) {
+		if s.inLow(t) {
 			if v := s.y[t] * s.grad[t]; v > gmax2 {
 				gmax2 = v
 			}
