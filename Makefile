@@ -35,11 +35,18 @@ test-race:
 test-shuffle:
 	$(GO) test -shuffle=on -count=2 -timeout 30m ./...
 
-# Short coverage-guided fuzz smoke on both targets (seeds always run as
-# part of `make test`; this explores beyond them).
+# Short coverage-guided fuzz smoke on every Fuzz* target in the module,
+# FUZZTIME each (seeds always run as part of `make test`; this explores
+# beyond them). go test fuzzes one target per invocation, so the targets
+# are discovered from the test sources and run one by one.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzClipJSONRoundTrip -fuzztime=$(FUZZTIME) ./internal/clip/
-	$(GO) test -run='^$$' -fuzz=FuzzDirectionalStrings -fuzztime=$(FUZZTIME) ./internal/topo/
+	@set -e; for file in $$(grep -rlE --include='*_test.go' --exclude-dir=e2ebench \
+		--exclude-dir=.bench_build --exclude-dir=.git '^func Fuzz' . | sort); do \
+		for name in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' "$$file"); do \
+			echo "fuzz: $$name ($$(dirname $$file))"; \
+			$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) "$$(dirname $$file)/"; \
+		done; \
+	done
 
 # Observability overhead guardrails (instrumented vs uninstrumented).
 bench:
@@ -79,8 +86,8 @@ bench-scan-incremental:
 	$(GO) test -run='^$$' -bench='BenchmarkScanIncremental' -benchtime=2x \
 		-count=$(BENCHCOUNT) -timeout 40m ./internal/core/
 
-# Clip-evaluation fast-path benchmarks (pooled scratch + exact pre-screen
-# cascade): steady-state memo-hit, forced-miss, and cascade-disabled
+# Clip-evaluation fast-path benchmarks (pooled scratch + exact verdict-memo
+# pre-screen): steady-state memo-hit, fresh-memo miss, and memo-disabled
 # regimes, reporting ns/clip and allocs/op. bench-extract-baseline.txt is
 # the committed pre-fast-path baseline; CI benchstat-diffs fresh runs
 # against it and separately hard-fails if the prescreen-hit steady state

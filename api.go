@@ -138,11 +138,11 @@ func Evaluate(reported, truth []Rect, areaDBU2 int64, spec ClipSpec) Score {
 // Tiled scanning types. Detector.ScanTiled / ScanTiledContext /
 // ScanGDSContext evaluate chip-scale layouts in bounded memory: the
 // layout is cut into halo-overlapped tiles processed by a work-stealing
-// worker pool, with checkpoint/resume and a report identical to Detect
-// (see docs/ARCHITECTURE.md, "Chip-scale tiled scanning").
+// worker pool, with a resumable tile result store and a report identical
+// to Detect (see docs/ARCHITECTURE.md, "Chip-scale tiled scanning").
 type (
-	// ScanOptions parameterizes a tiled scan (tile side, workers,
-	// checkpoint path, per-tile memory budget); its zero value is usable.
+	// ScanOptions parameterizes a tiled scan (tile side, workers, tile
+	// result store, per-tile memory budget); its zero value is usable.
 	ScanOptions = core.ScanOptions
 	// ScanStats reports a tiled scan's orchestration counters.
 	ScanStats = core.ScanStats
@@ -157,11 +157,11 @@ type (
 // docs/ARCHITECTURE.md, "Distributed sharded scanning").
 type (
 	// DistOptions parameterizes a distributed scan (backends, shard
-	// count, deadlines, retry budget, checkpoint); only Backends is
+	// count, deadlines, retry budget, shard store); only Backends is
 	// required.
 	DistOptions = dist.Options
 	// DistStats reports a distributed scan's orchestration counters
-	// (shards done/resumed/redispatched, retries, per-backend scorecard).
+	// (shards done/cached/redispatched, retries, per-backend scorecard).
 	DistStats = dist.Stats
 	// BackendStatus is one backend's end-of-scan scorecard.
 	BackendStatus = dist.BackendStatus

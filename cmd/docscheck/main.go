@@ -9,7 +9,9 @@
 //     a string literal in the repository's Go sources, so runbooks cannot
 //     drift from the telemetry they describe. Span metrics derived by
 //     obs.Begin (`stage.X.seconds`, `stage.X.items`) resolve through
-//     their base name.
+//     their base name. Go sources in a directory below the root with its
+//     own go.mod (a separate module, such as a benchmark harness that only
+//     reads counters) never vouch for a metric.
 //
 // HTTP(S) and mailto links are not fetched (CI must not depend on the
 // network). Fenced code blocks and inline code spans are ignored for the
@@ -44,37 +46,13 @@ func main() {
 	}
 	var files, goFiles []string
 	for _, root := range roots {
-		fi, err := os.Stat(root)
+		md, gos, err := collect(root)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(2)
 		}
-		if !fi.IsDir() {
-			files = append(files, root)
-			continue
-		}
-		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if name := d.Name(); name != "." && strings.HasPrefix(name, ".") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			switch {
-			case strings.EqualFold(filepath.Ext(path), ".md"):
-				files = append(files, path)
-			case filepath.Ext(path) == ".go":
-				goFiles = append(goFiles, path)
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-			os.Exit(2)
-		}
+		files = append(files, md...)
+		goFiles = append(goFiles, gos...)
 	}
 	literals, err := goStringLiterals(goFiles)
 	if err != nil {
@@ -106,6 +84,50 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("docscheck: %d file(s) clean\n", len(files))
+}
+
+// collect returns the markdown files and the metric-vouching Go files
+// under root (root itself when it is a file). Dot-directories are skipped
+// outright; Go files inside a directory below root that holds its own
+// go.mod belong to another module and are left out.
+func collect(root string) (md, gos []string, err error) {
+	fi, err := os.Stat(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !fi.IsDir() {
+		return []string{root}, nil, nil
+	}
+	var nested []string // module roots below root
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					nested = append(nested, path+string(filepath.Separator))
+				}
+			}
+			return nil
+		}
+		switch {
+		case strings.EqualFold(filepath.Ext(path), ".md"):
+			md = append(md, path)
+		case filepath.Ext(path) == ".go":
+			for _, mod := range nested {
+				if strings.HasPrefix(path, mod) {
+					return nil
+				}
+			}
+			gos = append(gos, path)
+		}
+		return nil
+	})
+	return md, gos, err
 }
 
 var (

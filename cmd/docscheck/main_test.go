@@ -165,3 +165,46 @@ func TestFencedHeadingsIgnored(t *testing.T) {
 		t.Error("real heading missing")
 	}
 }
+
+// TestNestedModuleDoesNotVouch pins the module boundary of the metric
+// drift check: a documented metric whose only string literal sits in a
+// directory with its own go.mod (another module, which may only read the
+// counter) is a finding, while one emitted by the root module resolves.
+func TestNestedModuleDoesNotVouch(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module example\n")
+	write(t, root, "emit.go", "package example\n\nvar _ = \"root.emitted\"\n")
+	sub := filepath.Join(root, "bench")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write(t, sub, "go.mod", "module example/bench\n")
+	write(t, sub, "read.go", "package main\n\nvar _ = \"nested.only\"\n")
+	write(t, root, "ops.md", strings.Join([]string{
+		"## Metrics",
+		"",
+		"| metric | meaning |",
+		"|---|---|",
+		"| `root.emitted` | emitted by the root module |",
+		"| `nested.only` | named only by the nested module |",
+	}, "\n"))
+
+	md, gos, err := collect(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(md) != 1 || len(gos) != 1 {
+		t.Fatalf("collected %v markdown and %v Go files, want ops.md and emit.go", md, gos)
+	}
+	lits, err := goStringLiterals(gos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := checkFile(md[0], map[string]map[string]bool{}, lits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], `"nested.only"`) {
+		t.Fatalf("findings = %v, want exactly the nested-module metric", findings)
+	}
+}

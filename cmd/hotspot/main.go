@@ -5,7 +5,7 @@
 //	hotspot stats   -bench MX_benchmark1 -scale 0.5
 //	hotspot train   -bench MX_benchmark1 -scale 0.5 -out model.json
 //	hotspot detect  -bench MX_benchmark1 -scale 0.5 [-basic] [-bias 0.35] [-model model.json]
-//	hotspot scan    -bench MX_benchmark1 -tile 16000 -checkpoint scan.ckpt [-resume]
+//	hotspot scan    -bench MX_benchmark1 -tile 16000 -store scan.store [-incremental]
 //	hotspot serve   -model model.json -addr :8080
 //	hotspot bench   -table 3 -scale 0.25      (or -fig 15)
 //	hotspot gdsinfo layout.gds
@@ -71,7 +71,7 @@ commands:
   stats    print a benchmark's Table I statistics row
   train    train the framework on a benchmark and save the model as JSON
   detect   train (or load) the framework and evaluate a testing layout
-  scan     chip-scale tiled scan (bounded memory, -checkpoint/-resume)
+  scan     chip-scale tiled scan (bounded memory, resumable with -store/-incremental)
   render   run detection and write an SVG (and optional aerial heatmap)
   drc      run basic design-rule checks over a benchmark layout
   serve    run hotspotd, the HTTP/JSON inference server, on a saved model

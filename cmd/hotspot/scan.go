@@ -26,8 +26,9 @@ import (
 // halo-overlapped tiles, tiles are extracted and classified by a
 // work-stealing worker pool under a per-tile memory budget, and seams are
 // deduplicated so the result matches the monolithic `hotspot detect`
-// exactly. With -checkpoint, completed tiles are journaled so an
-// interrupted scan (Ctrl-C) can pick up where it left off with -resume.
+// exactly. With -store, completed tiles are written to the tile result
+// store as they finish, so an interrupted scan (Ctrl-C) picks up where it
+// left off when re-run with -store and -incremental.
 func cmdScan(args []string) error {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	name, scale, workers := benchFlags(fs)
@@ -36,10 +37,8 @@ func cmdScan(args []string) error {
 	bundleDir := fs.String("bundle", "", "scan a bundle directory's testing layout")
 	model := fs.String("model", "", "load a saved model instead of training on the benchmark")
 	tile := fs.Int("tile", 0, "tile side in dbu (0 = 8x the clip side; min = core side)")
-	ckpt := fs.String("checkpoint", "", "journal completed tiles (or shards, with -backends) to this file")
-	resume := fs.Bool("resume", false, "replay a compatible -checkpoint journal before scanning")
 	mem := fs.Int64("mem", 0, "per-tile memory budget in bytes (0 = 64 MiB, negative = unbounded)")
-	storePath := fs.String("store", "", "persistent tile result store; tiles (or shards, with -backends) are journaled here keyed by content")
+	storePath := fs.String("store", "", "persistent tile result store; tiles (or shards, with -backends) are written here keyed by content as they finish, so -incremental resumes an interrupted scan")
 	incremental := fs.Bool("incremental", false, "reuse compatible -store entries: evaluate only tiles whose geometry or model changed")
 	backends := fs.String("backends", "", "comma-separated hotspotd backends (host:port) for a distributed scan")
 	shardCount := fs.Int("shards", 0, "shard count for -backends (0 = 4 per backend)")
@@ -50,9 +49,6 @@ func cmdScan(args []string) error {
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *resume && *ckpt == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *incremental && *storePath == "" {
 		return fmt.Errorf("-incremental requires -store")
@@ -127,9 +123,9 @@ func cmdScan(args []string) error {
 	trainDur := time.Since(t0)
 
 	// The store is keyed under the model digest: without -incremental a
-	// compatible store is wiped and rebuilt (mirroring -checkpoint without
-	// -resume); with it, entries whose content key still matches are
-	// spliced into the report without re-evaluating the tile.
+	// compatible store is wiped and rebuilt; with it, entries whose content
+	// key still matches are spliced into the report without re-evaluating
+	// the tile — which is also how an interrupted scan resumes.
 	var store *scan.Store
 	if *storePath != "" {
 		store, err = scan.OpenStore(*storePath, det.ModelDigest(), *incremental)
@@ -142,15 +138,13 @@ func cmdScan(args []string) error {
 	opts := core.ScanOptions{
 		Tile:         geom.Coord(*tile),
 		Workers:      *workers,
-		Checkpoint:   *ckpt,
-		Resume:       *resume,
 		TileMemBytes: *mem,
 		Store:        store,
 	}
 
 	// Ctrl-C / SIGTERM cancels the scan cooperatively: in-flight tiles
-	// finish, completed tiles are already journaled, and the partial
-	// report is printed with a resume hint.
+	// finish, completed tiles are already in the store (with -store), and
+	// the partial report is printed with a resume hint.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -161,15 +155,13 @@ func cmdScan(args []string) error {
 			Tile:         geom.Coord(*tile),
 			ShardTimeout: *shardDeadline,
 			Retries:      *retries,
-			Checkpoint:   *ckpt,
-			Resume:       *resume,
 			LocalWorkers: *workers,
 			Obs:          reg,
 			Store:        store,
 		}
 		rep, dst, err := dist.Scan(ctx, det, b.Test, dopts)
-		fmt.Printf("shards: %d/%d done (%d resumed, %d cached, %d remote, %d local, %d empty; %d retries, %d redispatches)\n",
-			dst.ShardsDone, dst.Shards, dst.ShardsResumed, dst.ShardsCached, dst.ShardsRemote,
+		fmt.Printf("shards: %d/%d done (%d cached, %d remote, %d local, %d empty; %d retries, %d redispatches)\n",
+			dst.ShardsDone, dst.Shards, dst.ShardsCached, dst.ShardsRemote,
 			dst.ShardsLocal, dst.ShardsEmpty, dst.Retries, dst.Redispatches)
 		for _, bs := range dst.Backends {
 			state := "up"
@@ -178,7 +170,7 @@ func cmdScan(args []string) error {
 			}
 			fmt.Printf("backend %s: %d shards, %d failures, %s\n", bs.Addr, bs.Shards, bs.Failures, state)
 		}
-		return finishScanReport(rep, dst.Tiles, err, b, det, trainDur, *ckpt, *stats, reg, *reportOut)
+		return finishScanReport(rep, dst.Tiles, err, b, det, trainDur, *storePath, *stats, reg, *reportOut)
 	}
 
 	var rep core.Report
@@ -200,17 +192,17 @@ func cmdScan(args []string) error {
 			}
 		}
 		rep, st, err = det.ScanGDSContext(ctx, lib, topName, opts)
-		return finishScanReport(rep, st, err, b, det, trainDur, *ckpt, *stats, reg, *reportOut)
+		return finishScanReport(rep, st, err, b, det, trainDur, *storePath, *stats, reg, *reportOut)
 	}
 	rep, st, err = det.ScanTiledContext(ctx, b.Test, opts)
-	return finishScanReport(rep, st, err, b, det, trainDur, *ckpt, *stats, reg, *reportOut)
+	return finishScanReport(rep, st, err, b, det, trainDur, *storePath, *stats, reg, *reportOut)
 }
 
 // finishScanReport is finishScan plus the optional -report artifact (only
 // written for a completed scan: a partial report diffs as a false alarm).
 func finishScanReport(rep core.Report, st core.ScanStats, err error, b *iccad.Benchmark,
-	det *core.Detector, trainDur time.Duration, ckpt string, stats bool, reg *obs.Registry, reportOut string) error {
-	if ferr := finishScan(rep, st, err, b, det, trainDur, ckpt, stats, reg); ferr != nil {
+	det *core.Detector, trainDur time.Duration, storePath string, stats bool, reg *obs.Registry, reportOut string) error {
+	if ferr := finishScan(rep, st, err, b, det, trainDur, storePath, stats, reg); ferr != nil {
 		return ferr
 	}
 	if err == nil && reportOut != "" {
@@ -248,23 +240,23 @@ func splitBackends(s string) []string {
 	return out
 }
 
-// finishScan prints the scan outcome. An interruption with a checkpoint on
-// disk is a clean exit (the journal is the product); without one it is an
+// finishScan prints the scan outcome. An interruption with a store on disk
+// is a clean exit (the stored tiles are the product); without one it is an
 // error.
 func finishScan(rep core.Report, st core.ScanStats, err error, b *iccad.Benchmark,
-	det *core.Detector, trainDur time.Duration, ckpt string, stats bool, reg *obs.Registry) error {
+	det *core.Detector, trainDur time.Duration, storePath string, stats bool, reg *obs.Registry) error {
 	interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if err != nil && !interrupted {
 		return err
 	}
-	fmt.Printf("tiles: %d/%d done (%d resumed, %d cached, %d dirty, %d split)\n",
-		st.TilesDone, st.TilesTotal, st.TilesResumed, st.TilesCached, st.TilesDirty, st.TilesSplit)
+	fmt.Printf("tiles: %d/%d done (%d cached, %d dirty, %d split)\n",
+		st.TilesDone, st.TilesTotal, st.TilesCached, st.TilesDirty, st.TilesSplit)
 	fmt.Printf("candidates=%d flagged=%d reclaimed=%d hotspots=%d train=%s scan=%s\n",
 		rep.Candidates, rep.Flagged, rep.Reclaimed, len(rep.Hotspots),
 		trainDur.Round(time.Millisecond), rep.Runtime.Round(time.Millisecond))
 	if interrupted {
-		if ckpt != "" {
-			fmt.Printf("interrupted: %v; re-run with -resume to continue from %s\n", err, ckpt)
+		if storePath != "" {
+			fmt.Printf("interrupted: %v; re-run with -store %s -incremental to continue\n", err, storePath)
 			return nil
 		}
 		return err

@@ -8,7 +8,7 @@
 //
 // This package is the public API (api.go): Train, Detect, Evaluate,
 // LoadModel, GenerateBenchmark, the chip-scale tiled scan
-// (Detector.ScanTiled, bounded memory with checkpoint/resume), the
+// (Detector.ScanTiled, bounded memory with a resumable tile store), the
 // hotspotd inference server (NewServer), and the clip/layout types they
 // operate on. The implementation lives under internal/ (geom, gds,
 // layout, litho, iccad, clip, topo, mtcg, features, svm, core, scan,

@@ -62,11 +62,11 @@ func (d *Detector) basicOnly() bool {
 	return len(d.kernels) == 1 && d.kernels[0].key == ""
 }
 
-// evalBatch is the batched counterpart of multiKernelEval: the pre-screen
-// cascade resolves what it can, then features are extracted once per
-// surviving clip and every kernel evaluates the batch through
+// evalBatch is the batched counterpart of multiKernelEval: the verdict memo
+// resolves the geometries it has seen, then features are extracted once
+// per remaining clip and every kernel evaluates the batch through
 // svm.Model.DecisionBatch. Because the batched decision is bit-for-bit
-// equal to the scalar one and the cascade is verdict-preserving, each
+// equal to the scalar one and the memo is verdict-preserving, each
 // verdict matches what multiKernelEval would have returned for that clip —
 // including the flagging-kernel index and the kernel-evaluation count.
 //
@@ -81,7 +81,7 @@ func (d *Detector) evalBatch(ps []*clip.Pattern, cfg Config) []batchVerdict {
 
 // evalBatchScratch is evalBatch into a caller-held scratch. The returned
 // slice is s.vs — valid until the next call that uses s. In the steady
-// state (every clip resolved by the cascade, Workers <= 1, no registry
+// state (every clip resolved by the memo, Workers <= 1, no registry
 // attached) the call performs zero heap allocations, which
 // TestEvalBatchZeroAlloc locks in.
 func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Config) []batchVerdict {
@@ -99,34 +99,16 @@ func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Conf
 	live := s.live[:0]
 	hashes := s.hashes[:0]
 	var memo *verdictMemo
-	rejects, hits := 0, 0
+	hits := 0
 	if !cfg.DisablePrescreen {
 		setStage(labelClassify)
-		env := d.envelope()
-		// The envelope is armed only where the unflagged verdict it
-		// synthesizes (evals included) is the slow path's constant: every
-		// kernel evaluated, or the basic kernel's single decision. Routed
-		// evals depend on the route, which costs what the screen saves.
-		useEnv := env.ok && cfg.RouteK <= 0 &&
-			(!env.hasBasic || env.basicSlots == cfg.BasicSlots)
-		constEvals := len(d.kernels)
-		if d.basicOnly() {
-			constEvals = 1
-		}
 		memo = d.memoFor(cfg)
 		for i, p := range ps {
-			if useEnv && env.rejects(s.coreDensity(p), cfg.Bias) {
-				vs[i].evals = constEvals
-				rejects++
-				continue
-			}
 			h := coreHash(p)
-			if !d.memoDisabled {
-				if v, ok := memo.lookup(h, p); ok {
-					vs[i] = v
-					hits++
-					continue
-				}
+			if v, ok := memo.lookup(h, p); ok {
+				vs[i] = v
+				hits++
+				continue
 			}
 			live = append(live, i)
 			hashes = append(hashes, h)
@@ -141,14 +123,13 @@ func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Conf
 
 	if len(live) > 0 {
 		d.evalLive(s, ps, live, cfg)
-		if memo != nil && !d.memoDisabled {
+		if memo != nil {
 			for t, i := range live {
 				memo.insert(hashes[t], ps[i], vs[i])
 			}
 		}
 	}
 	if reg := cfg.Obs; reg != nil {
-		reg.Counter("eval.prescreen_rejects").Add(int64(rejects))
 		reg.Counter("eval.memo_hits").Add(int64(hits))
 		reg.Counter("eval.memo_misses").Add(int64(len(live)))
 		reg.Histogram("eval.alloc_bytes_per_clip").
@@ -158,7 +139,7 @@ func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Conf
 }
 
 // evalLive runs feature extraction and the kernel decisions for the clips
-// the cascade could not resolve, writing verdicts into s.vs.
+// the memo could not resolve, writing verdicts into s.vs.
 func (d *Detector) evalLive(s *evalScratch, ps []*clip.Pattern, live []int, cfg Config) {
 	m := len(live)
 	if cap(s.exs) < m {
@@ -484,7 +465,7 @@ func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs [
 // ClassifyBatch evaluates many standalone clips at once — the batched
 // counterpart of calling ClassifyPattern per clip, with identical labels.
 // One configuration snapshot covers the whole batch; the SVM work runs
-// through the flat batched decision path behind the pre-screen cascade.
+// through the flat batched decision path behind the verdict memo.
 // Safe for concurrent use.
 func (d *Detector) ClassifyBatch(ps []*clip.Pattern) []clip.Label {
 	cfg := d.config()

@@ -13,12 +13,12 @@ import (
 // detectChunk batch, serial workers — the tile evaluator's shape) through
 // the three fast-path regimes:
 //
-//   - prescreen-hit: the cascade resolves every clip (warmed verdict memo),
+//   - prescreen-hit: the verdict memo resolves every clip (warmed memo),
 //     the zero-allocation steady state of repeated layout geometry;
-//   - prescreen-miss: the cascade is consulted but every memo lookup
-//     misses (memoDisabled), so each clip pays the screen AND the full
-//     pipeline — the cascade's overhead ceiling;
-//   - full-eval: the cascade is disabled outright, the slow path.
+//   - prescreen-miss: a fresh memo per batch, so every lookup misses and
+//     every verdict is inserted — each clip pays the memo AND the full
+//     pipeline, the memo's overhead ceiling;
+//   - full-eval: the memo is disabled outright, the slow path.
 //
 // bench-extract-baseline.txt holds the pre-fast-path numbers for the same
 // benchmark names (every regime ran the then-only full pipeline); CI
@@ -31,34 +31,35 @@ func BenchmarkEvalClipPipeline(b *testing.B) {
 	defer putScratch(s)
 	ps, cfg := evalFixture(b, d, bench.Test, s)
 
-	run := func(b *testing.B, cfg Config) {
+	run := func(b *testing.B, cfg Config, coldMemo bool) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if coldMemo {
+				d.memo.Store(nil)
+			}
 			d.evalBatchScratch(s, ps, cfg)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ps)), "ns/clip")
 	}
 	b.Run("prescreen-hit", func(b *testing.B) {
 		d.evalBatchScratch(s, ps, cfg) // warm the memo
-		run(b, cfg)
+		run(b, cfg, false)
 	})
 	b.Run("prescreen-miss", func(b *testing.B) {
-		d.memoDisabled = true
-		defer func() { d.memoDisabled = false }()
-		run(b, cfg)
+		run(b, cfg, true)
 	})
 	b.Run("full-eval", func(b *testing.B) {
 		slow := cfg
 		slow.DisablePrescreen = true
-		run(b, slow)
+		run(b, slow, false)
 	})
 }
 
 // TestWriteBenchExtractJSON regenerates BENCH_extract.json at the repo
 // root when HOTSPOT_BENCH_JSON is set (see `make bench-extract-json` and
 // EXPERIMENTS.md): per-regime ns/clip plus the hit-path speedup over the
-// cascade-disabled slow path.
+// memo-disabled slow path.
 func TestWriteBenchExtractJSON(t *testing.T) {
 	if os.Getenv("HOTSPOT_BENCH_JSON") == "" {
 		t.Skip("set HOTSPOT_BENCH_JSON=1 to (re)write BENCH_extract.json")
@@ -70,22 +71,23 @@ func TestWriteBenchExtractJSON(t *testing.T) {
 	defer putScratch(s)
 	ps, cfg := evalFixture(t, d, bench.Test, s)
 
-	nsPerClip := func(cfg Config) float64 {
+	nsPerClip := func(cfg Config, coldMemo bool) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				if coldMemo {
+					d.memo.Store(nil)
+				}
 				d.evalBatchScratch(s, ps, cfg)
 			}
 		})
 		return float64(r.T.Nanoseconds()) / float64(r.N) / float64(len(ps))
 	}
+	miss := nsPerClip(cfg, true)
 	d.evalBatchScratch(s, ps, cfg) // warm the memo
-	hit := nsPerClip(cfg)
-	d.memoDisabled = true
-	miss := nsPerClip(cfg)
-	d.memoDisabled = false
+	hit := nsPerClip(cfg, false)
 	slow := cfg
 	slow.DisablePrescreen = true
-	full := nsPerClip(slow)
+	full := nsPerClip(slow, false)
 
 	allocs := testing.AllocsPerRun(20, func() { d.evalBatchScratch(s, ps, cfg) })
 

@@ -91,11 +91,12 @@ type Config struct {
 	// 0 evaluates all kernels, the paper's behaviour.
 	RouteK int
 	// DisablePrescreen switches the clip-evaluation fast path's exact
-	// pre-screen cascade off (see prescreen.go): the certified density
-	// envelope and the canonical-geometry verdict memo. The cascade is
-	// provably verdict-preserving — reports are byte-identical either way —
-	// so the zero value (cascade on) is the right default; the knob exists
-	// for the equivalence tests and for benchmarking the slow path.
+	// pre-screen off (see prescreen.go): the canonical-geometry verdict
+	// memo. The memo is verdict-preserving — reports are byte-identical
+	// either way — so the zero value (memo on) is the right default; the
+	// knob exists for the equivalence tests, for benchmarking the slow
+	// path, and for feedback self-evaluation, whose training clips hardly
+	// ever repeat a core geometry.
 	DisablePrescreen bool
 	// Bias shifts every kernel's decision threshold: 0 is the paper's
 	// operating point ("ours"); positive values demand stronger evidence,

@@ -34,15 +34,9 @@ type Detector struct {
 	// telemetry records the training pipeline's stage timings and counts.
 	telemetry obs.Telemetry
 
-	// Pre-screen cascade state (see prescreen.go). The envelope depends
-	// only on the immutable kernels and is built on first use; the memo is
-	// swapped atomically whenever the evaluation configuration changes.
-	envOnce sync.Once
-	env     *densityEnvelope
-	memo    atomic.Pointer[verdictMemo]
-	// memoDisabled (tests and the prescreen-miss benchmark only) keeps the
-	// envelope armed while forcing every memo lookup to miss.
-	memoDisabled bool
+	// memo is the pre-screen's verdict cache (see prescreen.go), swapped
+	// atomically whenever the evaluation configuration changes.
+	memo atomic.Pointer[verdictMemo]
 }
 
 // config returns a snapshot of the detector's configuration, safe against
@@ -329,10 +323,10 @@ func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRoun
 	contributing := map[int]bool{}
 	s := getScratch()
 	defer putScratch(s)
-	// The self-evaluation bypasses the pre-screen cascade. The cascade is
-	// exact, so the verdicts are the same; but the training clips hardly
-	// ever repeat a core geometry, so the verdict memo would only fill up
-	// and stay live through the feedback solve and beyond.
+	// The self-evaluation bypasses the verdict memo. The memo is exact, so
+	// the verdicts are the same; but the training clips hardly ever repeat
+	// a core geometry, so the memo would only fill up and stay live through
+	// the feedback solve and beyond.
 	evalCfg := cfg
 	evalCfg.DisablePrescreen = true
 	for lo := 0; lo < len(nonhotspots); lo += detectChunk {

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"hotspot/internal/clip"
-	"hotspot/internal/features"
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
 	"hotspot/internal/scan"
 )
 
-// setPrescreen toggles the fast path's pre-screen cascade on a live
+// setPrescreen toggles the fast path's verdict-memo pre-screen on a live
 // detector (test-only knob; production callers set Config.DisablePrescreen
 // before Train).
 func setPrescreen(d *Detector, disabled bool) {
@@ -22,9 +21,8 @@ func setPrescreen(d *Detector, disabled bool) {
 }
 
 // detectEqual runs reportsEqual plus the stronger telemetry obligation the
-// cascade carries: the kernel-evaluation count must be byte-identical too
-// (envelope rejects mirror the slow path's constant evals; memo hits
-// replay cached verdicts verbatim).
+// memo carries: the kernel-evaluation count must be byte-identical too
+// (memo hits replay cached verdicts verbatim).
 func detectEqual(t *testing.T, label string, got, want Report) {
 	t.Helper()
 	reportsEqual(t, label, got, want)
@@ -36,10 +34,10 @@ func detectEqual(t *testing.T, label string, got, want Report) {
 }
 
 // TestPrescreenCascadeExact is the fast path's central proof obligation:
-// with the cascade enabled (envelope + memo, memo-only, or envelope-only)
-// Detect's report — hotspots, tallies, and kernel-evaluation telemetry —
-// is byte-identical to the cascade-disabled slow path, across worker
-// counts and bias operating points.
+// with the verdict memo enabled (warm, or cold so every first lookup
+// misses and inserts) Detect's report — hotspots, tallies, and
+// kernel-evaluation telemetry — is byte-identical to the memo-disabled
+// slow path, across worker counts and bias operating points.
 func TestPrescreenCascadeExact(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
@@ -52,10 +50,8 @@ func TestPrescreenCascadeExact(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			d.SetWorkers(workers)
 			detectEqual(t, "cascade", d.Detect(b.Test), want)
-			// Envelope-only: force every memo lookup to miss.
-			d.memoDisabled = true
-			detectEqual(t, "envelope-only", d.Detect(b.Test), want)
-			d.memoDisabled = false
+			d.memo.Store(nil) // cold memo: every first lookup misses
+			detectEqual(t, "cold memo", d.Detect(b.Test), want)
 		}
 		d.SetWorkers(DefaultConfig().Workers)
 	}
@@ -63,7 +59,7 @@ func TestPrescreenCascadeExact(t *testing.T) {
 }
 
 // TestPrescreenCascadeExactBasic covers the single-huge-kernel baseline,
-// whose envelope takes the direct-vector (BasicSlots) layout path.
+// whose memo entries hold the direct-vector (BasicSlots) verdicts.
 func TestPrescreenCascadeExactBasic(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, BasicConfig())
@@ -72,15 +68,14 @@ func TestPrescreenCascadeExactBasic(t *testing.T) {
 	want := d.Detect(b.Test)
 	setPrescreen(d, false)
 	detectEqual(t, "basic cascade", d.Detect(b.Test), want)
-	d.memoDisabled = true
-	detectEqual(t, "basic envelope-only", d.Detect(b.Test), want)
-	d.memoDisabled = false
+	d.memo.Store(nil)
+	detectEqual(t, "basic cold memo", d.Detect(b.Test), want)
 }
 
 // TestPrescreenScanPathsExact extends the equivalence to every scan
 // surface: tiled, GDS, and the distributed shard path (ScanShardContext +
 // MergeSeams + ReportFromScan, the coordinator's exact pipeline) must all
-// match the cascade-disabled monolithic Detect.
+// match the memo-disabled monolithic Detect.
 func TestPrescreenScanPathsExact(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
@@ -157,9 +152,6 @@ func TestPrescreenObservability(t *testing.T) {
 	if snap.Counters["eval.memo_hits"] == 0 {
 		t.Fatal("no memo hits recorded on a repeat detection")
 	}
-	if _, ok := snap.Counters["eval.prescreen_rejects"]; !ok {
-		t.Fatal("eval.prescreen_rejects counter missing")
-	}
 	h, ok := snap.Histograms["eval.alloc_bytes_per_clip"]
 	if !ok || h.Count == 0 {
 		t.Fatalf("eval.alloc_bytes_per_clip histogram missing or empty: %+v", h)
@@ -201,7 +193,7 @@ func TestEvalBatchZeroAlloc(t *testing.T) {
 	defer putScratch(s)
 	ps, cfg := evalFixture(t, d, b.Test, s)
 
-	d.evalBatchScratch(s, ps, cfg) // warm buffers, envelope, and memo
+	d.evalBatchScratch(s, ps, cfg) // warm buffers and memo
 
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.evalBatchScratch(s, ps, cfg)
@@ -214,33 +206,6 @@ func TestEvalBatchZeroAlloc(t *testing.T) {
 		d.feedbackBatchScratch(s, ps, clean, cfg)
 	}); allocs != 0 {
 		t.Fatalf("steady-state feedbackBatch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestEnvelopeBoundSound is the stage-1 soundness property: for every
-// candidate clip, every kernel's actual decision value is at or below the
-// envelope's bound for the clip's raw-density bin — the inequality that
-// makes an envelope reject provably exact.
-func TestEnvelopeBoundSound(t *testing.T) {
-	b := testBenchmark()
-	d := trainedDetector(t, DefaultConfig())
-	env := d.envelope()
-	if !env.ok {
-		t.Fatal("envelope refused to build for the default configuration")
-	}
-	s := getScratch()
-	defer putScratch(s)
-	ps, _ := evalFixture(t, d, b.Test, s)
-
-	for _, p := range ps {
-		ub := env.ub[binOf(s.coreDensity(p))]
-		ex := features.ExtractAll(p.CoreRects(), p.Core)
-		for ki, k := range d.kernels {
-			dec := k.model.Decision(k.scaler.Apply(k.extractor.VectorFrom(ex)))
-			if dec > ub {
-				t.Fatalf("kernel %d decision %v exceeds envelope bound %v", ki, dec, ub)
-			}
-		}
 	}
 }
 

@@ -202,7 +202,7 @@ func TestScanIncrementalDigestMismatch(t *testing.T) {
 
 // TestModelDigestStability pins what the digest must and must not depend
 // on: it ignores runtime knobs (worker count, the per-scan snap base, the
-// prescreen toggle — the cascade is exact) and changes with anything that
+// prescreen toggle — the verdict memo is exact) and changes with anything that
 // can change a verdict.
 func TestModelDigestStability(t *testing.T) {
 	d := trainedDetector(t, DefaultConfig())

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -110,8 +111,8 @@ func (d *Detector) Save(w io.Writer) error {
 // Fields that cannot affect a verdict are normalized out so they never
 // spuriously invalidate a store: worker count, the snap-grid origin
 // (derived per layout, already part of every tile key's coordinate
-// frame), and the prescreen toggle (the cascade is exact — verified by
-// TestPrescreenCascadeExact). Obs and Progress are excluded from the
+// frame), and the prescreen toggle (the verdict memo is exact — verified
+// by TestPrescreenCascadeExact). Obs and Progress are excluded from the
 // serialized form already.
 func (d *Detector) ModelDigest() string {
 	pm := d.persisted()
@@ -128,7 +129,29 @@ func (d *Detector) ModelDigest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Load restores a detector saved with Save.
+// ErrInvalidModel reports a model document that decodes but cannot be
+// evaluated: a kernel without support vectors, coefficients that do not
+// pair one-to-one with the support vectors, or a missing or malformed
+// feature scaler. Load refuses such a model instead of handing out a
+// detector that would panic on its first clip.
+var ErrInvalidModel = errors.New("core: invalid model")
+
+// checkSVM validates one persisted kernel's evaluable shape.
+func checkSVM(name string, p persistedSVM, sc *svm.Scaler) error {
+	if len(p.Coef) != len(p.SVs) {
+		return fmt.Errorf("%w: %s has %d coefficients for %d support vectors", ErrInvalidModel, name, len(p.Coef), len(p.SVs))
+	}
+	if sc == nil {
+		return fmt.Errorf("%w: %s has no scaler", ErrInvalidModel, name)
+	}
+	if len(sc.Min) != len(sc.Max) {
+		return fmt.Errorf("%w: %s scaler has %d minima for %d maxima", ErrInvalidModel, name, len(sc.Min), len(sc.Max))
+	}
+	return nil
+}
+
+// Load restores a detector saved with Save. A document that decodes but
+// cannot be evaluated fails with ErrInvalidModel.
 func Load(r io.Reader) (*Detector, error) {
 	var pm persistedModel
 	dec := json.NewDecoder(r)
@@ -140,8 +163,12 @@ func Load(r io.Reader) (*Detector, error) {
 	}
 	d := &Detector{cfg: pm.Config, stats: pm.Stats, selection: pm.Selection}
 	for _, pk := range pm.Kernels {
+		name := fmt.Sprintf("kernel %q", pk.Key)
 		if len(pk.SVM.SVs) == 0 {
-			return nil, fmt.Errorf("core: kernel %q has no support vectors", pk.Key)
+			return nil, fmt.Errorf("%w: %s has no support vectors", ErrInvalidModel, name)
+		}
+		if err := checkSVM(name, pk.SVM, pk.Scaler); err != nil {
+			return nil, err
 		}
 		d.kernels = append(d.kernels, &kernelUnit{
 			key:       pk.Key,
@@ -152,6 +179,9 @@ func Load(r io.Reader) (*Detector, error) {
 		})
 	}
 	if pm.Feedback != nil {
+		if err := checkSVM("feedback kernel", *pm.Feedback, pm.Feedback.Scaler); err != nil {
+			return nil, err
+		}
 		d.feedback = &feedbackUnit{
 			slots:  pm.FbSlots,
 			scaler: pm.Feedback.Scaler,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -9,35 +8,19 @@ import (
 	"hotspot/internal/geom"
 )
 
-// This file implements the exact pre-screen cascade of the clip-evaluation
-// fast path (§III-E's "discard cheaply before expensive work", made
-// bit-exact). Two stages run before feature extraction and the SVMs:
+// This file implements the exact pre-screen of the clip-evaluation fast
+// path (§III-E's "discard cheaply before expensive work", made bit-exact):
+// a verdict memo consulted before feature extraction and the SVMs. The
+// memo is a sharded cache keyed by the clip's core geometry normalized to
+// the core origin. Kernel verdicts are pure functions of that geometry
+// (extraction canonicalizes in the core frame), so a hit replays a
+// previously computed verdict verbatim; layouts repeat patterns heavily
+// (standard cells, arrays). Entries are verified by full geometry
+// comparison — a hash collision degrades to a miss, never a wrong verdict.
 //
-//  1. Density envelope — a per-raw-density-bin table of certified upper
-//     bounds on every kernel's decision value
-//     (svm.Model.ComponentUpperBound over the scaled density component,
-//     which is always the final vector component). A clip whose bin's
-//     bound is below the decision bias provably cannot be flagged by any
-//     kernel, so it is resolved as unflagged without extraction. The
-//     verdict mirrors the slow path exactly, including the evals count;
-//     the envelope is only armed in the constant-evals modes (all-kernels
-//     and basic — RouteK routing's evals depend on the route, which is as
-//     expensive as what the screen avoids).
-//  2. Verdict memo — a sharded cache keyed by the clip's core geometry
-//     normalized to the core origin. Kernel verdicts are pure functions of
-//     that geometry (extraction canonicalizes in the core frame), so a hit
-//     replays a previously computed verdict verbatim; layouts repeat
-//     patterns heavily (standard cells, arrays), making this the cascade's
-//     workhorse. Entries are verified by full geometry comparison — a hash
-//     collision degrades to a miss, never a wrong verdict.
-//
-// Both stages are exact: with the cascade on or off, every report field
-// and every telemetry counter is byte-identical (locked by the
-// equivalence tests in fastpath_test.go).
-
-// envBins is the density-envelope table resolution over raw density [0, 1];
-// one overflow bin covers [1-1/envBins, +inf) for degenerate inputs.
-const envBins = 256
+// The memo is exact: with it on or off, every report field and every
+// telemetry counter is byte-identical (locked by the equivalence tests in
+// fastpath_test.go).
 
 // memoShards spreads verdict-memo lookups across locks; tile workers hit
 // the memo concurrently.
@@ -47,123 +30,7 @@ const memoShards = 64
 // the memo stops learning new geometries but keeps serving the ones it has.
 const memoMaxEntries = 1 << 16
 
-// densityEnvelope is the stage-1 table: ub[b] bounds every kernel's
-// decision value for clips whose raw core density falls in bin b. It
-// depends only on the immutable kernels (the bias is compared at lookup
-// time), so it is built once per detector.
-type densityEnvelope struct {
-	ok         bool
-	basicSlots int // vector layout guard for the basic kernel
-	hasBasic   bool
-	ub         [envBins + 1]float64
-}
-
-// buildEnvelope computes the per-bin certified bounds, max-ed over kernels.
-func buildEnvelope(kernels []*kernelUnit, basicSlots int) *densityEnvelope {
-	env := &densityEnvelope{basicSlots: basicSlots}
-	if len(kernels) == 0 {
-		return env
-	}
-	for b := range env.ub {
-		env.ub[b] = math.Inf(-1)
-	}
-	for _, k := range kernels {
-		if k.model == nil || k.scaler == nil || len(k.scaler.Min) == 0 {
-			return env // no sound bound available: leave the envelope off
-		}
-		dim := len(k.scaler.Min)
-		// The density is the final component of both vector layouts
-		// (VectorFrom and VectorDirectFrom end with the nontopological
-		// subvector). The scaler was fitted on rows of its own dimension,
-		// so the scaled density lives at dim-1 — unless the eval-time row
-		// length diverges from the fitted one, in which case Apply's
-		// truncate/pad would shift components and the bound would be
-		// unsound; refuse the envelope then.
-		if k.key == "" {
-			env.hasBasic = true
-			if basicSlots*5+5 != dim {
-				return env
-			}
-		} else if k.extractor == nil || k.extractor.Dim() != dim {
-			return env
-		}
-		di := dim - 1
-		min, max := k.scaler.Min[di], k.scaler.Max[di]
-		margin := k.model.RoundingMargin()
-		for b := range env.ub {
-			lo, hi := binInterval(b)
-			// Map the raw interval through the min-max scaling (monotone
-			// for a positive range; a zero range pins the component to 0,
-			// exactly as Scaler.Apply does).
-			slo, shi := 0.0, 0.0
-			if r := max - min; r > 0 {
-				slo, shi = (lo-min)/r, (hi-min)/r
-			}
-			ub := k.model.ComponentUpperBound(di, slo, shi) + margin
-			if ub > env.ub[b] {
-				env.ub[b] = ub
-			}
-		}
-	}
-	env.ok = true
-	return env
-}
-
-// binInterval returns bin b's raw-density interval, widened by a full bin
-// on each side so the float rounding of binOf's multiplication can never
-// place a density outside its bin's interval.
-func binInterval(b int) (lo, hi float64) {
-	lo = float64(b-1) / envBins
-	if lo < 0 {
-		lo = 0
-	}
-	if b >= envBins {
-		return lo, math.Inf(1) // overflow bin: [1-1/envBins, +inf)
-	}
-	return lo, float64(b+2) / envBins
-}
-
-// binOf maps a raw density to its table bin.
-func binOf(density float64) int {
-	b := int(density * envBins)
-	if b < 0 {
-		return 0
-	}
-	if b > envBins {
-		return envBins
-	}
-	return b
-}
-
-// rejects reports whether the envelope certifies that no kernel can flag a
-// clip with the given raw core density under the given bias.
-func (env *densityEnvelope) rejects(density, bias float64) bool {
-	return env.ok && env.ub[binOf(density)] < bias
-}
-
-// envelope returns the detector's density envelope, built on first use.
-func (d *Detector) envelope() *densityEnvelope {
-	d.envOnce.Do(func() {
-		d.env = buildEnvelope(d.kernels, d.config().BasicSlots)
-	})
-	return d.env
-}
-
-// coreDensity computes the clip's raw core density (union area of the
-// core-clipped geometry over the core area) without allocating. The value
-// is exactly features.ComputeNonTopo's Density for the canonicalized core:
-// canonicalization is an isometry of the integer grid, the union area is a
-// well-defined integer, and the divisor (the core area) is preserved, so
-// the float64 quotients are bit-identical.
-func (s *evalScratch) coreDensity(p *clip.Pattern) float64 {
-	if p.Core.Empty() {
-		return 0
-	}
-	s.core = p.AppendCoreRects(s.core)
-	return float64(s.area.TotalArea(s.core)) / float64(p.Core.Area())
-}
-
-// verdictMemo is the stage-2 cache. A memo is valid for one evaluation
+// verdictMemo is the pre-screen cache. A memo is valid for one evaluation
 // configuration (the fields below are everything a kernel verdict depends
 // on besides the immutable kernels and the clip's core geometry); SetBias
 // et al. simply swap in a fresh memo.

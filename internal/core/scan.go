@@ -14,7 +14,7 @@ import (
 
 // ScanOptions parameterizes the tiled full-chip scan (ScanTiled and
 // friends). The zero value scans with defaults: automatic tile size, the
-// detector's configured worker count, no checkpoint.
+// detector's configured worker count, no store.
 type ScanOptions struct {
 	// Tile is the tile side in dbu; 0 picks scan.DefaultTileFactor times
 	// the clip side. Must be at least the core side.
@@ -22,12 +22,6 @@ type ScanOptions struct {
 	// Workers bounds the tile worker pool; 0 uses the detector's
 	// configured evaluation worker count.
 	Workers int
-	// Checkpoint, when non-empty, journals completed tiles to this file so
-	// an interrupted scan can resume.
-	Checkpoint string
-	// Resume replays a compatible existing checkpoint instead of
-	// rescanning its tiles.
-	Resume bool
 	// TileMemBytes is the per-tile memory budget (0 = default, negative =
 	// no adaptive splitting); see scan.Options.
 	TileMemBytes int64
@@ -38,14 +32,15 @@ type ScanOptions struct {
 	// StorePath, when non-empty and Store is nil, opens (or creates) the
 	// tile result store at this path for the duration of the scan,
 	// reusing compatible cached entries — the incremental re-scan path
-	// (see ScanIncremental). Ignored when Store is set.
+	// (see ScanIncremental), which is also how an interrupted scan
+	// resumes. Ignored when Store is set.
 	StorePath string
 }
 
 // ScanStats reports a tiled scan's orchestration counters alongside the
 // Report (which carries the detection outcome).
 type ScanStats struct {
-	TilesTotal, TilesDone, TilesResumed, TilesSplit int
+	TilesTotal, TilesDone, TilesSplit int
 	// TilesCached were served from the tile result store; TilesDirty were
 	// evaluated and written back. Both are zero for scans without a store.
 	TilesCached, TilesDirty int
@@ -92,8 +87,8 @@ func (d *Detector) OpenStore(path string) (*scan.Store, error) {
 
 // ScanTiledContext is ScanTiled with cooperative cancellation and scan
 // statistics. On cancellation the partial report is returned with the
-// context's error; tiles journaled before the interruption replay on the
-// next Resume run.
+// context's error; with a store, tiles finished before the interruption
+// are served from it by the next run against the same store.
 func (d *Detector) ScanTiledContext(ctx context.Context, l *layout.Layout, opts ScanOptions) (Report, ScanStats, error) {
 	cfg := d.config()
 	// Every tile must share one snap-dedup grid origin, and it must be the
@@ -152,33 +147,19 @@ func (d *Detector) scanWith(ctx context.Context, src scan.Source, opts ScanOptio
 	}
 	sp := obs.Begin(tel, cfg.Obs, "scan.tiles")
 	res, err := scan.Run(ctx, src, scan.Options{
-		Spec:           cfg.Spec,
-		Layer:          cfg.Layer,
-		Req:            cfg.Requirements,
-		Tile:           opts.Tile,
-		Workers:        workers,
-		CheckpointPath: opts.Checkpoint,
-		Resume:         opts.Resume,
-		TileMemBytes:   opts.TileMemBytes,
-		Store:          store,
-		Obs:            cfg.Obs,
+		Spec:         cfg.Spec,
+		Layer:        cfg.Layer,
+		Req:          cfg.Requirements,
+		Tile:         opts.Tile,
+		Workers:      workers,
+		TileMemBytes: opts.TileMemBytes,
+		Store:        store,
+		Obs:          cfg.Obs,
 	}, d.tileEvaluator(cfg))
-	stats = ScanStats{
-		TilesTotal:   res.TilesTotal,
-		TilesDone:    res.TilesDone,
-		TilesResumed: res.TilesResumed,
-		TilesSplit:   res.TilesSplit,
-		TilesCached:  res.TilesCached,
-		TilesDirty:   res.TilesDirty,
-	}
-	if store != nil {
-		ss := store.Stats()
-		stats.Store = &ss
-	}
+	stats = scanStats(res, store)
 	sp.AddItems(int64(res.TilesDone))
 	sp.End()
 	tel.AddCounter("scan.tiles_total", int64(res.TilesTotal))
-	tel.AddCounter("scan.tiles_resumed", int64(res.TilesResumed))
 	tel.AddCounter("scan.tiles_split", int64(res.TilesSplit))
 	if store != nil {
 		tel.AddCounter("scan.tiles_cached", int64(res.TilesCached))
@@ -270,31 +251,34 @@ func (d *Detector) ScanShardContext(ctx context.Context, l *layout.Layout, windo
 		defer store.Close()
 	}
 	res, err := scan.Run(ctx, scan.NewLayoutSource(l, cfg.Layer), scan.Options{
-		Spec:           cfg.Spec,
-		Layer:          cfg.Layer,
-		Req:            cfg.Requirements,
-		Tile:           opts.Tile,
-		Window:         window,
-		Workers:        workers,
-		CheckpointPath: opts.Checkpoint,
-		Resume:         opts.Resume,
-		TileMemBytes:   opts.TileMemBytes,
-		Store:          store,
-		Obs:            cfg.Obs,
+		Spec:         cfg.Spec,
+		Layer:        cfg.Layer,
+		Req:          cfg.Requirements,
+		Tile:         opts.Tile,
+		Window:       window,
+		Workers:      workers,
+		TileMemBytes: opts.TileMemBytes,
+		Store:        store,
+		Obs:          cfg.Obs,
 	}, d.tileEvaluator(cfg))
+	return res.Candidates, scanStats(res, store), err
+}
+
+// scanStats copies a scan.Result's tile counters, plus the store summary
+// when a store was consulted.
+func scanStats(res scan.Result, store *scan.Store) ScanStats {
 	stats := ScanStats{
-		TilesTotal:   res.TilesTotal,
-		TilesDone:    res.TilesDone,
-		TilesResumed: res.TilesResumed,
-		TilesSplit:   res.TilesSplit,
-		TilesCached:  res.TilesCached,
-		TilesDirty:   res.TilesDirty,
+		TilesTotal:  res.TilesTotal,
+		TilesDone:   res.TilesDone,
+		TilesSplit:  res.TilesSplit,
+		TilesCached: res.TilesCached,
+		TilesDirty:  res.TilesDirty,
 	}
 	if store != nil {
 		ss := store.Stats()
 		stats.Store = &ss
 	}
-	return res.Candidates, stats, err
+	return stats
 }
 
 // ReportFromScan assembles the final detection report from a merged

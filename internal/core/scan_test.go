@@ -108,15 +108,15 @@ func TestScanTiledAdaptiveSplitMatches(t *testing.T) {
 	reportsEqual(t, "split scan", rep, want)
 }
 
-// TestScanTiledResume interrupts a checkpointed scan partway (cancelling
-// once a few tiles have completed), then resumes and requires the final
+// TestScanTiledResume interrupts a scan with a store partway (cancelling
+// once a few tiles have completed), then re-runs it against the same store
+// and requires the finished tiles to be served from it and the final
 // report to be identical to an uninterrupted Detect.
 func TestScanTiledResume(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
 	want := d.Detect(b.Test)
-	path := filepath.Join(t.TempDir(), "scan.ckpt")
-	opts := ScanOptions{Tile: 6000, Workers: 2, Checkpoint: path}
+	opts := ScanOptions{Tile: 6000, Workers: 2, StorePath: filepath.Join(t.TempDir(), "scan.store")}
 
 	reg := obs.NewRegistry()
 	d.SetObs(reg)
@@ -131,20 +131,22 @@ func TestScanTiledResume(t *testing.T) {
 	partial, stats, err := d.ScanTiledContext(ctx, b.Test, opts)
 	cancel()
 	if err == nil {
-		// The scan outran the canceller; the checkpoint is complete, which
-		// still exercises full-journal replay below.
+		// The scan outran the canceller; the store is complete, which
+		// still exercises a fully cached re-run below.
 		reportsEqual(t, "uninterrupted scan", partial, want)
-	} else if stats.TilesDone == 0 {
-		t.Fatal("interrupted scan journaled nothing; cannot test resume")
+	} else if stats.TilesDirty == 0 {
+		t.Fatal("interrupted scan stored nothing; cannot test resume")
 	}
 
-	opts.Resume = true
 	rep, stats2, err := d.ScanTiledContext(context.Background(), b.Test, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.TilesResumed == 0 {
-		t.Fatal("resume replayed no tiles")
+	if stats2.TilesCached != stats.TilesDirty {
+		t.Fatalf("re-run served %d tiles from the store, want the %d the first run finished", stats2.TilesCached, stats.TilesDirty)
+	}
+	if stats2.TilesCached+stats2.TilesDirty != stats2.TilesTotal {
+		t.Fatalf("cached %d + dirty %d != total %d", stats2.TilesCached, stats2.TilesDirty, stats2.TilesTotal)
 	}
 	reportsEqual(t, "resumed scan", rep, want)
 }

@@ -25,7 +25,7 @@ type evalScratch struct {
 	ps   []*clip.Pattern
 	// vs holds the batch verdicts returned by evalBatchScratch.
 	vs []batchVerdict
-	// live indexes the clips the pre-screen could not resolve.
+	// live indexes the clips the verdict memo could not resolve.
 	live []int
 	// hashes holds the live clips' memo hash keys (parallel to live).
 	hashes []uint64
@@ -43,8 +43,7 @@ type evalScratch struct {
 	// dec and best hold batched decision values and per-clip confidences.
 	dec  []float64
 	best []float64
-	// area and core compute raw core densities without allocating.
-	area geom.AreaScratch
+	// core holds one clip's core-clipped geometry (serial extraction).
 	core []geom.Rect
 	// reclaimed and idxs serve the feedback pass.
 	reclaimed []bool

@@ -161,7 +161,7 @@ func TestEvalBatchZeroAllocPortable(t *testing.T) {
 	defer putScratch(s)
 	ps, cfg := evalFixture(t, d, b.Test, s)
 
-	d.evalBatchScratch(s, ps, cfg) // warm buffers, envelope, and memo
+	d.evalBatchScratch(s, ps, cfg) // warm buffers and memo
 
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.evalBatchScratch(s, ps, cfg)

@@ -32,8 +32,11 @@ const (
 	// process in place only burns the retry budget.
 	failConn
 	// failFatal fails the whole scan: the backend understood the request
-	// and rejected it (4xx), which no amount of retrying fixes — the
-	// coordinator and backend disagree about the contract.
+	// and rejected it (4xx), or answered with candidates outside the shard
+	// window, which no amount of retrying fixes — the coordinator and
+	// backend disagree about the contract. A backend that breaks the
+	// window contract still answers /readyz, so retiring and reviving it
+	// would only loop.
 	failFatal
 )
 
@@ -82,7 +85,10 @@ type errorBody struct {
 
 // postShard executes one shard attempt against one backend under the
 // per-attempt deadline. Failures come back as *shardError (classified) or
-// the context's error when the scan itself is done.
+// the context's error when the scan itself is done. Every returned
+// candidate must be anchored inside the shard window: the coordinator
+// merges and stores the set as the shard's result, so one stray anchor
+// would corrupt this report and every later run against the store.
 func (c *coordinator) postShard(ctx context.Context, b *backend, sh geom.Rect, rects []geom.Rect) ([]scan.Candidate, core.ScanStats, error) {
 	var zero core.ScanStats
 	layer := c.cfg.Layer
@@ -155,6 +161,12 @@ func (c *coordinator) postShard(ctx context.Context, b *backend, sh geom.Rect, r
 		// streaming. Shard evaluation is idempotent, so re-dispatching the
 		// whole shard elsewhere is safe.
 		return nil, zero, &shardError{class: failConn, err: fmt.Errorf("decoding response: %w", err)}
+	}
+	for _, cand := range sr.Candidates {
+		if !sh.Contains(cand.At) {
+			return nil, zero, &shardError{class: failFatal,
+				err: fmt.Errorf("backend %s returned a candidate at %v outside shard %v", b.base, cand.At, sh)}
+		}
 	}
 	st := zero
 	if sr.Tiles != nil {

@@ -19,9 +19,9 @@
 //   - when every backend is down, remaining shards degrade gracefully to
 //     the local tiled path (unless Options.NoLocalFallback), so the scan
 //     still completes with an identical report;
-//   - with Options.Checkpoint, completed shards are journaled through the
-//     scan package's checkpoint format, so a killed coordinator resumes
-//     without re-scanning (or re-shipping) completed shards.
+//   - a backend that returns a candidate anchored outside the shard it
+//     was sent breaks the window contract; the scan fails naming it, and
+//     the shard's set is neither merged nor stored.
 //
 // Shard evaluation is pure and idempotent, which is what makes re-dispatch
 // after a mid-stream drop safe: a shard that was half-served on a dying
@@ -39,14 +39,16 @@
 // are the very sets a backend would return. The store must be opened under
 // the coordinator detector's ModelDigest (core.Detector.OpenStore), which
 // also guards against a drifted fleet: backends serving a different model
-// are a deployment error regardless of caching.
+// are a deployment error regardless of caching. Each shard is written to
+// the store as it completes, so the store is also how a killed
+// coordinator resumes: a re-run against it ships only the shards the
+// killed run did not finish.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -112,19 +114,13 @@ type Options struct {
 	// rest of the scan.
 	ProbeInterval time.Duration
 	ProbeAttempts int
-	// Checkpoint, when non-empty, journals completed shards to this file
-	// (the scan package's checkpoint format, shard windows as keys); with
-	// Resume set, a compatible journal's shards replay instead of being
-	// re-dispatched.
-	Checkpoint string
-	Resume     bool
 	// Store, when non-nil, is the coordinator-side tile result store:
 	// shards whose ShardKey hits the store are spliced from cache instead
 	// of dispatched, and freshly completed shards are written back. Open
 	// it with core.Detector.OpenStore so its digest matches the model the
-	// fleet serves; the caller owns its lifecycle. Unlike Checkpoint
-	// (scoped to resuming one scan), the store persists across scans and
-	// layout edits.
+	// fleet serves; the caller owns its lifecycle. The store persists
+	// across scans and layout edits, and re-running an interrupted scan
+	// against it resumes that scan.
 	Store *scan.Store
 	// NoLocalFallback disables the graceful degradation that evaluates
 	// leftover shards on the coordinator when every backend is down; the
@@ -199,14 +195,13 @@ type BackendStatus struct {
 // Stats reports a distributed scan's orchestration counters.
 type Stats struct {
 	// Shards is the planned shard count; ShardsDone of those completed
-	// (including resumed, empty, and locally evaluated ones).
+	// (including cached, empty, and locally evaluated ones).
 	Shards, ShardsDone int
-	// ShardsResumed replayed from the checkpoint journal; ShardsRemote
-	// were served by backends; ShardsLocal ran on the coordinator
-	// (fallback); ShardsEmpty held no geometry and were skipped outright;
-	// ShardsCached were spliced from the tile result store without being
-	// dispatched.
-	ShardsResumed, ShardsRemote, ShardsLocal, ShardsEmpty, ShardsCached int
+	// ShardsRemote were served by backends; ShardsLocal ran on the
+	// coordinator (fallback); ShardsEmpty held no geometry and were
+	// skipped outright; ShardsCached were spliced from the tile result
+	// store without being dispatched.
+	ShardsRemote, ShardsLocal, ShardsEmpty, ShardsCached int
 	// Store summarizes the coordinator-side tile result store; absent
 	// without one.
 	Store *scan.StoreStats
@@ -224,8 +219,8 @@ type Stats struct {
 // assembly). The returned report is identical to det.ScanTiled(l, ...) for
 // the same tile side — locked by TestScanDistributedMatchesLocal — except
 // for Runtime and Telemetry, which measure this run. On failure the
-// partial report accumulated so far is returned with the error; completed
-// shards remain in the checkpoint journal for a later Resume run.
+// partial report accumulated so far is returned with the error; with a
+// store, completed shards remain in it for a later run to reuse.
 func Scan(ctx context.Context, det *core.Detector, l *layout.Layout, opts Options) (core.Report, Stats, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -271,33 +266,13 @@ func Scan(ctx context.Context, det *core.Detector, l *layout.Layout, opts Option
 	c.cancel = cancel
 	c.reg.Counter("dist.scans").Inc()
 
-	if opts.Checkpoint != "" {
-		jn, err := scan.OpenJournal(opts.Checkpoint, c.fingerprint(len(shards)), opts.Resume)
-		if err != nil {
-			return rep, stats, err
-		}
-		defer jn.Close()
-		c.jn = jn
-	}
-
-	// Enqueue the work: journaled shards replay, geometry-free shards
-	// complete outright, store hits splice from cache, and the rest go to
-	// the dispatch queue. Store keys are computed here, once, in the
-	// single-goroutine setup phase; workers only read them.
+	// Enqueue the work: geometry-free shards complete outright, store
+	// hits splice from cache, and the rest go to the dispatch queue. Store
+	// keys are computed here, once, in the single-goroutine setup phase;
+	// workers only read them.
 	c.store = opts.Store
 	c.moveCell = cfg.Requirements.SnapGrid <= 0
 	for _, sh := range shards {
-		if c.jn != nil {
-			if cands, ok := c.jn.Replay(sh); ok {
-				c.reg.Counter("dist.shards_resumed").Inc()
-				c.mu.Lock()
-				c.cands = append(c.cands, cands...)
-				c.stats.ShardsDone++
-				c.stats.ShardsResumed++
-				c.mu.Unlock()
-				continue
-			}
-		}
 		rects := l.Query(cfg.Layer, sh.Expand(c.halo), nil)
 		if len(rects) == 0 {
 			c.complete(sh, nil, core.ScanStats{}, shardEmpty)
@@ -370,7 +345,6 @@ func Scan(ctx context.Context, det *core.Detector, l *layout.Layout, opts Option
 	c.reg.Counter("dist.candidates").Add(int64(len(merged)))
 	tel := &rep.Telemetry
 	tel.AddCounter("dist.shards", int64(stats.Shards))
-	tel.AddCounter("dist.shards_resumed", int64(stats.ShardsResumed))
 	tel.AddCounter("dist.shards_local", int64(stats.ShardsLocal))
 	tel.AddCounter("dist.retries", int64(stats.Retries))
 	tel.AddCounter("dist.redispatches", int64(stats.Redispatches))
@@ -397,7 +371,6 @@ type coordinator struct {
 	snap geom.Point
 	halo geom.Coord
 	reg  *obs.Registry
-	jn   *scan.Journal
 	// store is the coordinator-side shard result cache; keys maps each
 	// shard window to its content key (computed once during enqueue,
 	// read-only afterwards). moveCell mirrors clip.KeyFor's coordinate
@@ -594,19 +567,13 @@ func (c *coordinator) drainLocal(ctx context.Context) {
 	}
 }
 
-// complete records one finished shard: write it back to the store,
-// journal it, fold its candidates and tile counters in, and close done
-// when it was the last.
+// complete records one finished shard: write it back to the store, fold
+// its candidates and tile counters in, and close done when it was the
+// last.
 func (c *coordinator) complete(sh geom.Rect, cands []scan.Candidate, tiles core.ScanStats, kind shardKind) {
 	if c.store != nil && (kind == shardRemote || kind == shardLocal) {
 		rel := scan.RelocateCandidates(cands, -c.snap.X, -c.snap.Y, c.moveCell)
 		if err := c.store.Put(c.keys[sh], rel); err != nil {
-			c.fail(err)
-			return
-		}
-	}
-	if c.jn != nil {
-		if err := c.jn.Append(sh, cands); err != nil {
 			c.fail(err)
 			return
 		}
@@ -628,7 +595,6 @@ func (c *coordinator) complete(sh geom.Rect, cands []scan.Candidate, tiles core.
 	}
 	c.stats.Tiles.TilesTotal += tiles.TilesTotal
 	c.stats.Tiles.TilesDone += tiles.TilesDone
-	c.stats.Tiles.TilesResumed += tiles.TilesResumed
 	c.stats.Tiles.TilesSplit += tiles.TilesSplit
 	if kind != shardEmpty && kind != shardCached {
 		c.pending--
@@ -674,18 +640,6 @@ func (c *coordinator) workerExit() {
 		c.goneClosed = true
 		close(c.gone)
 	}
-}
-
-// fingerprint identifies this scan for the checkpoint journal: layout
-// identity, model-relevant config (spec, layer, requirements including the
-// snap origin), tile side, and shard count — everything that must match
-// for a journaled shard's candidates to replay validly. The backend fleet
-// is deliberately excluded: a resume may run against different backends.
-func (c *coordinator) fingerprint(shards int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "dist|%s|%v|%d|%d|%+v|%+v|%d|%d",
-		c.l.Name, c.l.Bounds, c.l.NumRects(), c.cfg.Layer, c.cfg.Spec, c.cfg.Requirements, c.tile, shards)
-	return h.Sum64()
 }
 
 // shardBands partitions bounds into at most n contiguous horizontal bands

@@ -2,10 +2,12 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/iccad"
 	"hotspot/internal/obs"
+	"hotspot/internal/scan"
 	"hotspot/internal/server"
 )
 
@@ -408,55 +411,13 @@ func TestDeadFleetFallsBackToLocal(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume: a completed distributed scan's journal replays
-// fully on the next run — zero backend traffic, identical report.
-func TestCheckpointResume(t *testing.T) {
-	b, det, want := fixture(t)
-	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-
-	srv := newBackendServer(t, det)
-	rep, st, err := Scan(context.Background(), det, b.Test, Options{
-		Backends: []string{srv.URL}, Shards: 4, Tile: fixTile,
-		Checkpoint: ckpt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "first-run", rep, want)
-
-	// Resume run: a counting backend proves no shard is re-shipped.
-	var scans atomic.Int32
-	real := newBackendHandler(t, det)
-	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/scan" {
-			scans.Add(1)
-		}
-		real.ServeHTTP(w, r)
-	}))
-	t.Cleanup(counting.Close)
-
-	rep2, st2, err := Scan(context.Background(), det, b.Test, Options{
-		Backends: []string{counting.URL}, Shards: 4, Tile: fixTile,
-		Checkpoint: ckpt, Resume: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "resume-run", rep2, want)
-	if st2.ShardsResumed != st.Shards {
-		t.Fatalf("resumed %d of %d shards", st2.ShardsResumed, st.Shards)
-	}
-	if n := scans.Load(); n != 0 {
-		t.Fatalf("resume run shipped %d shards to the backend, want 0", n)
-	}
-}
-
 // TestResumeAfterCrash: a coordinator that dies mid-scan (here: its only
 // backend dies after two shards, fallback disabled) leaves the completed
-// shards journaled; the rerun replays them and only ships the remainder.
+// shards in its store; the rerun against the reopened store serves them
+// from it and only ships the remainder.
 func TestResumeAfterCrash(t *testing.T) {
 	b, det, want := fixture(t)
-	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
+	path := filepath.Join(t.TempDir(), "dist.store")
 
 	real := newBackendHandler(t, det)
 	var served atomic.Int32
@@ -471,12 +432,17 @@ func TestResumeAfterCrash(t *testing.T) {
 	}))
 	t.Cleanup(dying.Close)
 
+	store, err := det.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	is := &instantSleep{}
 	_, st, err := Scan(context.Background(), det, b.Test, Options{
 		Backends: []string{dying.URL}, Shards: 4, Tile: fixTile,
-		Checkpoint: ckpt, NoLocalFallback: true,
+		Store: store, NoLocalFallback: true,
 		sleep: is.sleep,
 	})
+	store.Close()
 	if !errors.Is(err, ErrAllBackendsDown) {
 		t.Fatalf("err = %v, want ErrAllBackendsDown", err)
 	}
@@ -484,20 +450,98 @@ func TestResumeAfterCrash(t *testing.T) {
 		t.Fatalf("crashed run completed %d shards remotely, want 2", st.ShardsRemote)
 	}
 
+	if store, err = det.OpenStore(path); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	healthy := newBackendServer(t, det)
 	rep, st2, err := Scan(context.Background(), det, b.Test, Options{
 		Backends: []string{healthy.URL}, Shards: 4, Tile: fixTile,
-		Checkpoint: ckpt, Resume: true,
+		Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "resume-after-crash", rep, want)
-	if st2.ShardsResumed != st.ShardsDone {
-		t.Fatalf("resumed %d shards, want the %d the crashed run completed", st2.ShardsResumed, st.ShardsDone)
+	if st2.ShardsCached != st.ShardsRemote {
+		t.Fatalf("re-run served %d shards from the store, want the %d the crashed run completed", st2.ShardsCached, st.ShardsRemote)
 	}
-	if st2.ShardsResumed+st2.ShardsRemote+st2.ShardsEmpty != st2.Shards {
-		t.Fatalf("resume run did not cover all shards: %+v", st2)
+	if st2.ShardsCached+st2.ShardsRemote+st2.ShardsEmpty != st2.Shards {
+		t.Fatalf("re-run did not cover all shards: %+v", st2)
+	}
+}
+
+// TestLyingBackendRejected pins the window contract: a backend that
+// answers with candidates anchored outside the shard it was sent fails
+// the scan with an error naming it, and the poisoned set is neither merged
+// nor stored — a re-run against the same store with a healthy backend
+// reproduces the local scan exactly.
+func TestLyingBackendRejected(t *testing.T) {
+	b, det, want := fixture(t)
+	real := newBackendHandler(t, det)
+	lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/scan" {
+			real.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		real.ServeHTTP(rec, r)
+		var body map[string]json.RawMessage
+		var cands []scan.Candidate
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Errorf("decoding backend response: %v", err)
+			return
+		}
+		if err := json.Unmarshal(body["candidates"], &cands); err != nil {
+			t.Errorf("decoding candidates: %v", err)
+			return
+		}
+		for i := range cands {
+			cands[i].At.X += 1_000_000
+			cands[i].Flagged = true
+		}
+		shifted, err := json.Marshal(cands)
+		if err != nil {
+			t.Errorf("encoding shifted candidates: %v", err)
+			return
+		}
+		body["candidates"] = shifted
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(body) //nolint:errcheck
+	}))
+	t.Cleanup(lying.Close)
+
+	store, err := det.OpenStore(filepath.Join(t.TempDir(), "dist.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	is := &instantSleep{}
+	_, st, err := Scan(context.Background(), det, b.Test, Options{
+		Backends: []string{lying.URL}, Shards: 4, Tile: fixTile,
+		Store: store, sleep: is.sleep,
+	})
+	if err == nil {
+		t.Fatal("scan accepted candidates outside their shard window")
+	}
+	if msg := err.Error(); !strings.Contains(msg, lying.URL) || !strings.Contains(msg, "outside shard") {
+		t.Fatalf("error %q does not name the backend and the shard", msg)
+	}
+	if st.ShardsRemote != 0 || store.Stats().Entries != 0 {
+		t.Fatalf("poisoned shards accepted: %d remote, %d stored", st.ShardsRemote, store.Stats().Entries)
+	}
+
+	healthy := newBackendServer(t, det)
+	rep, st2, err := Scan(context.Background(), det, b.Test, Options{
+		Backends: []string{healthy.URL}, Shards: 4, Tile: fixTile,
+		Store: store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "after-lying-backend", rep, want)
+	if st2.ShardsCached != 0 {
+		t.Fatalf("re-run served %d shards from a store the lying backend should not have written", st2.ShardsCached)
 	}
 }
 

@@ -169,8 +169,7 @@ func (e *Extractor) VectorInto(ex Extracted, dst []float64, used []bool) ([]floa
 
 // appendNT appends the nontopological subvector without materializing the
 // intermediate slice NonTopo.Vector allocates. The component order matches
-// NonTopo.Vector exactly; the density is always the final component (the
-// pre-screen envelope in internal/core depends on that).
+// NonTopo.Vector exactly; the density is always the final component.
 func appendNT(out []float64, nt NonTopo) []float64 {
 	return append(out,
 		float64(nt.Corners),

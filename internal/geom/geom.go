@@ -166,27 +166,7 @@ func BoundingBox(rects []Rect) Rect {
 // TotalArea returns the area of the union of rects, counting overlapping
 // regions once. It runs a coordinate-compressed sweep and is exact.
 func TotalArea(rects []Rect) int64 {
-	var s AreaScratch
-	return s.TotalArea(rects)
-}
-
-// AreaScratch carries TotalArea's sweep buffers so repeated area queries
-// (the clip-evaluation hot loop computes one union area per candidate clip)
-// reuse memory instead of allocating per call. The zero value is ready to
-// use; a scratch must not be shared between concurrent callers.
-type AreaScratch struct {
-	xs []Coord
-	ys [][2]Coord
-}
-
-// TotalArea is geom.TotalArea computed with this scratch's buffers. The
-// algorithm — and therefore the result — is identical to the package
-// function for any input.
-func (s *AreaScratch) TotalArea(rects []Rect) int64 {
-	if len(rects) == 0 {
-		return 0
-	}
-	xs := s.xs[:0]
+	var xs []Coord
 	for _, r := range rects {
 		if r.Empty() {
 			continue
@@ -194,14 +174,13 @@ func (s *AreaScratch) TotalArea(rects []Rect) int64 {
 		xs = append(xs, r.X0, r.X1)
 	}
 	if len(xs) == 0 {
-		s.xs = xs
 		return 0
 	}
 	xs = dedupSorted(xs)
 	var total int64
 	// For each x-strip, collect the y-intervals of rectangles spanning it
 	// and measure their union.
-	ys := s.ys[:0]
+	var ys [][2]Coord
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
 		ys = ys[:0]
@@ -212,8 +191,6 @@ func (s *AreaScratch) TotalArea(rects []Rect) int64 {
 		}
 		total += int64(x1-x0) * intervalUnionLength(ys)
 	}
-	s.xs = xs
-	s.ys = ys
 	return total
 }
 

@@ -2,31 +2,27 @@
 // partitions a layout (or a flattened-on-demand GDSII library) into tiles
 // with a halo wide enough to materialize every clip anchored inside the
 // tile, feeds the tiles through a bounded work-stealing worker pool with a
-// per-tile memory budget and context cancellation, deduplicates candidates
-// across tile seams, and journals completed tiles to an append-only
-// checkpoint file so an interrupted scan resumes without rework.
+// per-tile memory budget and context cancellation, and deduplicates
+// candidates across tile seams.
 //
 // The package is deliberately model-free: tile evaluation (clip extraction
 // plus SVM classification) is injected as a TileFunc by internal/core,
 // which owns the detector. What scan guarantees is the orchestration
 // contract: every dissection anchor of the layout is evaluated in exactly
-// one tile, the merged candidate set equals the monolithic whole-layout
-// extraction (clip.DedupCanonical is associative, so per-tile dedup plus
-// one seam pass reproduces the global pass), and a resumed run replays
-// journaled tiles byte-for-byte instead of rescanning them.
+// one tile, and the merged candidate set equals the monolithic
+// whole-layout extraction (clip.DedupCanonical is associative, so per-tile
+// dedup plus one seam pass reproduces the global pass).
 //
-// Two persistence layers ride on that purity:
-//
-//   - the checkpoint Journal (Options.CheckpointPath) records this run's
-//     completed tiles, so an interrupted scan resumes without rework; it
-//     is scoped to one scan of one layout, and
-//   - the tile result Store (Options.Store) is a content-addressed cache
-//     that outlives runs: each tile's verdicts are keyed by TileKey — a
-//     snap-base-relative fingerprint of the tile's halo geometry — under
-//     a model/config digest, so a re-scan after a small edit evaluates
-//     only the tiles whose geometry actually changed and splices the
-//     cached verdicts into the same seam-dedup merge, producing a report
-//     byte-identical to a cold scan (see core.ScanIncremental).
+// One persistence layer rides on that purity: the tile result Store
+// (Options.Store), a content-addressed cache that outlives runs. Each
+// tile's verdicts are keyed by TileKey — a snap-base-relative fingerprint
+// of the tile's halo geometry — under a model/config digest, so a re-scan
+// after a small edit evaluates only the tiles whose geometry actually
+// changed and splices the cached verdicts into the same seam-dedup merge,
+// producing a report byte-identical to a cold scan (see
+// core.ScanIncremental). Every finished tile is flushed to the store at
+// once, so re-running an interrupted scan against its store is also how
+// the scan resumes: the finished tiles hit and only the rest evaluate.
 package scan
 
 import (
@@ -42,7 +38,7 @@ import (
 )
 
 // DefaultTileFactor sizes the default tile as a multiple of the clip side:
-// big enough to amortize per-tile overhead (halo re-query, journal write),
+// big enough to amortize per-tile overhead (halo re-query, store write),
 // small enough that tens of tiles exist to parallelize over on typical
 // benchmarks.
 const DefaultTileFactor = 8
@@ -80,12 +76,6 @@ type Options struct {
 	Window geom.Rect
 	// Workers bounds the tile worker pool; <= 1 scans serially.
 	Workers int
-	// CheckpointPath, when non-empty, journals completed tiles to this
-	// file. With Resume set, a compatible existing journal's tiles are
-	// replayed instead of rescanned; without Resume the file is truncated.
-	CheckpointPath string
-	// Resume replays a compatible existing checkpoint (see CheckpointPath).
-	Resume bool
 	// TileMemBytes is the per-tile memory budget; 0 means
 	// DefaultTileMemBytes, negative disables adaptive splitting.
 	TileMemBytes int64
@@ -119,7 +109,7 @@ func (o Options) halo() geom.Coord { return o.Spec.CoreSide + o.Spec.Ambit() }
 
 // Candidate is one evaluated clip candidate of a tile: its anchor, its
 // seam-dedup key, and its classification outcome. The JSON form is the
-// checkpoint journal's payload.
+// tile result store's payload.
 type Candidate struct {
 	At        geom.Point `json:"at"`
 	Key       clip.Key   `json:"key"`
@@ -141,10 +131,10 @@ type Result struct {
 	// extraction order.
 	Candidates []Candidate
 	// TilesTotal counts tiles after adaptive splitting; TilesDone of
-	// those were evaluated or replayed this run, TilesResumed replayed
-	// from the checkpoint, and TilesSplit were subdivided for exceeding
-	// the memory budget (and are not counted in TilesTotal).
-	TilesTotal, TilesDone, TilesResumed, TilesSplit int
+	// those were evaluated or served from the store this run, and
+	// TilesSplit were subdivided for exceeding the memory budget (and are
+	// not counted in TilesTotal).
+	TilesTotal, TilesDone, TilesSplit int
 	// TilesCached and TilesDirty partition the store-consulting tiles of
 	// a scan with Options.Store: cached tiles were served from the store,
 	// dirty ones were evaluated and written back. Both are zero without a
@@ -154,11 +144,11 @@ type Result struct {
 
 // Run executes a tiled scan over src. Tiles are distributed across a
 // work-stealing pool of opts.Workers goroutines; each finished tile is
-// journaled (when a checkpoint is configured) and its candidates merged
+// written to the store (when one is configured) and its candidates merged
 // into the seam-deduplicated result. On context cancellation Run returns
 // the context error together with the partial result; completed tiles
-// remain in the checkpoint, so a later Run with Resume set picks up where
-// this one stopped.
+// remain in the store, so a later Run against it picks up where this one
+// stopped.
 func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, error) {
 	opts = opts.withDefaults()
 	var res Result
@@ -167,16 +157,6 @@ func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, 
 	}
 	if opts.Tile < opts.Spec.CoreSide {
 		return res, fmt.Errorf("scan: tile side %d below core side %d", opts.Tile, opts.Spec.CoreSide)
-	}
-
-	var jn *Journal
-	if opts.CheckpointPath != "" {
-		var err error
-		jn, err = OpenJournal(opts.CheckpointPath, Fingerprint(src, opts), opts.Resume)
-		if err != nil {
-			return res, err
-		}
-		defer jn.Close()
 	}
 
 	span := src.Bounds()
@@ -217,7 +197,7 @@ func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, 
 					pool.finish()
 					return
 				}
-				cands, outcome, err := runTile(ctx, src, opts, eval, tile, jn, pool, w)
+				cands, outcome, err := runTile(ctx, src, opts, eval, tile, pool, w)
 				if err != nil {
 					fail(err)
 					pool.stop()
@@ -231,12 +211,9 @@ func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, 
 				default:
 					res.TilesTotal++
 					res.TilesDone++
-					switch outcome {
-					case tileReplayed:
-						res.TilesResumed++
-					case tileCached:
+					if outcome == tileCached {
 						res.TilesCached++
-					default:
+					} else {
 						reg.Counter("scan.tiles_done").Inc()
 						if opts.Store != nil {
 							res.TilesDirty++
@@ -267,23 +244,15 @@ type tileOutcome int
 
 const (
 	tileEvaluated tileOutcome = iota // evaluated by the TileFunc
-	tileReplayed                     // served from the checkpoint journal
 	tileCached                       // served from the tile result store
 	tileSplit                        // subdivided; quadrants re-queued
 )
 
-// runTile processes one tile: checkpoint replay, halo-window loading,
-// memory-budget splitting, store lookup, evaluation, and journaling. A
-// tileSplit outcome means the tile was subdivided (its quadrants were
-// re-queued) instead of evaluated.
-func runTile(ctx context.Context, src Source, opts Options, eval TileFunc, tile geom.Rect, jn *Journal, pool *stealPool, w int) ([]Candidate, tileOutcome, error) {
-	if jn != nil {
-		if cands, ok := jn.Replay(tile); ok {
-			opts.Obs.Counter("scan.tiles_resumed").Inc()
-			return cands, tileReplayed, nil
-		}
-	}
-
+// runTile processes one tile: halo-window loading, memory-budget
+// splitting, store lookup, evaluation, and store write-back. A tileSplit
+// outcome means the tile was subdivided (its quadrants were re-queued)
+// instead of evaluated.
+func runTile(ctx context.Context, src Source, opts Options, eval TileFunc, tile geom.Rect, pool *stealPool, w int) ([]Candidate, tileOutcome, error) {
 	halo := tile.Expand(opts.halo())
 	// Cheap pre-load split estimate (exact for in-memory sources). Sources
 	// that cannot estimate without loading return a negative count and are
@@ -322,13 +291,7 @@ func runTile(ctx context.Context, src Source, opts Options, eval TileFunc, tile 
 		storeKey = TileKey(tile, rects, opts.Req.SnapBase)
 		if rel, ok := opts.Store.Get(storeKey); ok {
 			opts.Obs.Counter("scan.tiles_cached").Inc()
-			cands := RelocateCandidates(rel, opts.Req.SnapBase.X, opts.Req.SnapBase.Y, moveCell)
-			if jn != nil {
-				if err := jn.Append(tile, cands); err != nil {
-					return nil, tileEvaluated, err
-				}
-			}
-			return cands, tileCached, nil
+			return RelocateCandidates(rel, opts.Req.SnapBase.X, opts.Req.SnapBase.Y, moveCell), tileCached, nil
 		}
 	}
 
@@ -343,11 +306,6 @@ func runTile(ctx context.Context, src Source, opts Options, eval TileFunc, tile 
 		}
 		opts.Obs.Counter("scan.tiles_dirty").Inc()
 	}
-	if jn != nil {
-		if err := jn.Append(tile, cands); err != nil {
-			return nil, tileEvaluated, err
-		}
-	}
 	opts.Obs.Histogram("scan.tile_seconds").ObserveDuration(time.Since(start))
 	return cands, tileEvaluated, nil
 }
@@ -356,8 +314,8 @@ func runTile(ctx context.Context, src Source, opts Options, eval TileFunc, tile 
 // memory budget and, if so, re-queues its quadrants on the worker's own
 // deque. Tiles whose halves would fall below the core side are evaluated
 // regardless (the budget is then genuinely unreachable). Splitting is
-// deterministic for a given source and options, so a resumed run re-splits
-// identically and finds the journaled quadrants.
+// deterministic for a given source and options, so a re-run re-splits
+// identically and finds the stored quadrants.
 func splitTile(pool *stealPool, w int, opts Options, tile geom.Rect, nrects int) bool {
 	if opts.TileMemBytes < 0 || nrects < 0 {
 		return false

@@ -263,12 +263,20 @@ func TestRunAdaptiveSplit(t *testing.T) {
 	}
 }
 
-func TestRunCheckpointResume(t *testing.T) {
+// TestRunStoreResume is resume-from-store: a scan interrupted partway
+// leaves its finished tiles in the store, and a re-run against the
+// reopened store serves exactly those tiles, evaluates only the rest, and
+// merges to the uninterrupted result.
+func TestRunStoreResume(t *testing.T) {
 	l := denseLayout(t, 5, 24_000, 24_000)
 	req := clip.DefaultRequirements
 	src := NewLayoutSource(l, 1)
-	path := filepath.Join(t.TempDir(), "scan.ckpt")
-	opts := Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, Workers: 2, CheckpointPath: path}
+	path := filepath.Join(t.TempDir(), "scan.store")
+	st, err := OpenStore(path, "d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, Workers: 2, Store: st}
 
 	// First run: cancel partway through via an eval that trips the context
 	// after a few tiles.
@@ -281,16 +289,20 @@ func TestRunCheckpointResume(t *testing.T) {
 		return extractEval(1, testSpec, req)(ctx, tl, tile)
 	}
 	partial, err := Run(ctx, src, opts, interrupting)
+	st.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err=%v, want context.Canceled", err)
 	}
-	if partial.TilesDone == 0 {
-		t.Fatal("interrupted run journaled no tiles; cannot test resume")
+	if partial.TilesDirty == 0 {
+		t.Fatal("interrupted run stored no tiles; cannot test resume")
 	}
 
-	// Second run resumes: journaled tiles replay, the rest are evaluated,
-	// and the merged result matches an uninterrupted scan.
-	opts.Resume = true
+	// Second run against the reopened store: stored tiles hit, the rest
+	// are evaluated, and the merged result matches an uninterrupted scan.
+	if opts.Store, err = OpenStore(path, "d", true); err != nil {
+		t.Fatal(err)
+	}
+	defer opts.Store.Close()
 	var reeval atomic.Int32
 	counting := func(ctx context.Context, tl *layout.Layout, tile geom.Rect) ([]Candidate, error) {
 		reeval.Add(1)
@@ -300,11 +312,11 @@ func TestRunCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TilesResumed == 0 {
-		t.Fatal("resume replayed no tiles")
+	if res.TilesCached != partial.TilesDirty {
+		t.Fatalf("re-run served %d tiles from the store, want the %d the interrupted run finished", res.TilesCached, partial.TilesDirty)
 	}
-	if got := res.TilesResumed + int(reeval.Load()); got != res.TilesTotal {
-		t.Fatalf("resumed %d + reevaluated %d != total %d", res.TilesResumed, reeval.Load(), res.TilesTotal)
+	if got := res.TilesCached + int(reeval.Load()); got != res.TilesTotal {
+		t.Fatalf("cached %d + re-evaluated %d != total %d", res.TilesCached, reeval.Load(), res.TilesTotal)
 	}
 
 	fresh, err := Run(context.Background(), src, Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, Workers: 2},
@@ -317,17 +329,24 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
-func TestRunCheckpointTornTail(t *testing.T) {
+// TestRunStoreTornTail resumes from a store whose final lines a crash cut
+// mid-write: the torn tiles miss and re-evaluate, and the result equals a
+// fresh scan.
+func TestRunStoreTornTail(t *testing.T) {
 	l := denseLayout(t, 9, 12_000, 12_000)
 	req := clip.DefaultRequirements
 	src := NewLayoutSource(l, 1)
-	path := filepath.Join(t.TempDir(), "scan.ckpt")
-	opts := Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, CheckpointPath: path}
-
+	path := filepath.Join(t.TempDir(), "scan.store")
+	st, err := OpenStore(path, "d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, Store: st}
 	if _, err := Run(context.Background(), src, opts, extractEval(1, testSpec, req)); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-write: chop the final journal line in half.
+	st.Close()
+	// Simulate a crash mid-write: cut the store file mid-line.
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -336,10 +355,16 @@ func TestRunCheckpointTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.Resume = true
+	if opts.Store, err = OpenStore(path, "d", true); err != nil {
+		t.Fatal(err)
+	}
+	defer opts.Store.Close()
 	res, err := Run(context.Background(), src, opts, extractEval(1, testSpec, req))
 	if err != nil {
-		t.Fatalf("resume over torn tail: %v", err)
+		t.Fatalf("re-run over torn tail: %v", err)
+	}
+	if res.TilesDirty == 0 {
+		t.Fatal("no tile re-evaluated although the store's tail was cut")
 	}
 	fresh, err := Run(context.Background(), src, Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000},
 		extractEval(1, testSpec, req))
@@ -348,24 +373,6 @@ func TestRunCheckpointTornTail(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Candidates, fresh.Candidates) {
 		t.Fatal("torn-tail resume diverged from fresh scan")
-	}
-}
-
-func TestRunCheckpointMismatch(t *testing.T) {
-	l := denseLayout(t, 11, 12_000, 12_000)
-	req := clip.DefaultRequirements
-	src := NewLayoutSource(l, 1)
-	path := filepath.Join(t.TempDir(), "scan.ckpt")
-
-	opts := Options{Spec: testSpec, Layer: 1, Req: req, Tile: 6000, CheckpointPath: path}
-	if _, err := Run(context.Background(), src, opts, extractEval(1, testSpec, req)); err != nil {
-		t.Fatal(err)
-	}
-	// Same journal, different tiling: journaled tile results are invalid.
-	opts.Tile = 12_000
-	opts.Resume = true
-	if _, err := Run(context.Background(), src, opts, extractEval(1, testSpec, req)); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("err=%v, want ErrCheckpointMismatch", err)
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 type Source interface {
 	// Name identifies the source (library or benchmark name).
 	Name() string
-	// Stamp is an identity string folded into the checkpoint fingerprint:
-	// two sources with equal stamps must yield identical windows.
-	Stamp() string
 	// Bounds is the full extent to partition into tiles.
 	Bounds() geom.Rect
 	// Window returns a layout covering at least the given window. The
@@ -44,10 +41,6 @@ func NewLayoutSource(l *layout.Layout, layer layout.Layer) *LayoutSource {
 }
 
 func (s *LayoutSource) Name() string { return s.l.Name }
-
-func (s *LayoutSource) Stamp() string {
-	return fmt.Sprintf("layout:%s|%v|%d", s.l.Name, s.l.Bounds, s.l.NumRects())
-}
 
 func (s *LayoutSource) Bounds() geom.Rect { return s.l.Bounds }
 
@@ -80,10 +73,6 @@ func NewGDSSource(lib *gds.Library, top string) (*GDSSource, error) {
 }
 
 func (s *GDSSource) Name() string { return s.lib.Name + "/" + s.top }
-
-func (s *GDSSource) Stamp() string {
-	return fmt.Sprintf("gds:%s|%s|%v|%d", s.lib.Name, s.top, s.bounds, len(s.lib.Structures))
-}
 
 func (s *GDSSource) Bounds() geom.Rect { return s.bounds }
 

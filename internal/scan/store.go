@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -23,8 +24,7 @@ import (
 // dirty ones — with a final report byte-identical to a cold scan.
 //
 // The purity contract the key encodes (the same invariant that makes
-// distributed shard dispatch and checkpoint replay sound): a tile's
-// candidates depend only on
+// distributed shard dispatch sound): a tile's candidates depend only on
 //
 //   - the full extents of the geometry rectangles intersecting the
 //     tile's halo-expanded window (never clipped — dissection anchors
@@ -41,14 +41,16 @@ import (
 // header (see core.Detector.ModelDigest): any mismatch invalidates the
 // whole file, because a changed model can flip any tile's verdicts.
 //
-// On disk the store is a JSONL journal like the checkpoint: a header
-// line carrying the format version and model digest, then one line per
-// tile keyed by its fingerprint, candidates stored in snap-base-relative
-// coordinates. Torn trailing writes (a killed scan) are tolerated by
-// self-healing on the next append — a newline is written first, so the
-// torn fragment becomes an undecodable line that loading skips — rather
-// than by truncation, which keeps the file safe to copy or read while a
-// writer is live.
+// On disk the store is an append-only JSONL journal: a header line
+// carrying the format version and model digest, then one line per tile
+// keyed by its fingerprint, candidates stored in snap-base-relative
+// coordinates. Each line is flushed as its tile finishes, so the store is
+// also how an interrupted scan resumes: re-running against it serves the
+// finished tiles and evaluates only the rest. Torn trailing writes (a
+// killed scan) are tolerated by self-healing on the next append — a
+// newline is written first, so the torn fragment becomes an undecodable
+// line that loading skips — rather than by truncation, which keeps the
+// file safe to copy or read while a writer is live.
 
 // storeVersion is bumped whenever the store line format or the key
 // derivation changes; a version mismatch invalidates the whole file,
@@ -155,10 +157,9 @@ func OpenStore(path, digest string, reuse bool) (*Store, error) {
 	return st, nil
 }
 
-// load reads an existing store file. Unlike the checkpoint journal it
-// never truncates: undecodable lines (torn writes that a later append
-// healed past) are skipped, and a torn tail is recorded so the first
-// append heals it. A missing file is not an error; an incompatible
+// load reads an existing store file. It never truncates: undecodable
+// lines (torn writes that a later append healed past) are skipped, and a
+// torn tail is recorded so the first append heals it. A missing file is not an error; an incompatible
 // header marks the store invalidated so OpenStore recreates the file.
 func (st *Store) load(path, digest string) error {
 	f, err := os.Open(path)
@@ -202,6 +203,24 @@ func (st *Store) load(path, digest string) error {
 		st.entries[e.Key] = e.Cands
 	}
 	return nil
+}
+
+// readLine reads one newline-terminated JSON line into v. good is false —
+// with a nil error — when the stream ends or the line is torn (no
+// trailing newline or undecodable JSON).
+func readLine(r *bufio.Reader, v any) (good bool, n int64, err error) {
+	line, err := r.ReadBytes('\n')
+	n = int64(len(line))
+	if errors.Is(err, io.EOF) {
+		return false, n, nil // torn tail: no terminating newline
+	}
+	if err != nil {
+		return false, n, err
+	}
+	if json.Unmarshal(line, v) != nil {
+		return false, n, nil // torn tail: interleaved or cut write
+	}
+	return true, n, nil
 }
 
 // Get returns the cached candidates for key (in snap-base-relative

@@ -488,6 +488,36 @@ func TestReloadErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("reload with bad path: status %d, want 422", resp.StatusCode)
 	}
+
+	// A model that decodes but cannot be evaluated (one coefficient more
+	// than support vectors) is refused; the old model keeps serving.
+	b, det := fixture(t)
+	var saved bytes.Buffer
+	if err := det.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(saved.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	svm := doc["kernels"].([]any)[0].(map[string]any)["svm"].(map[string]any)
+	svm["coef"] = append(svm["coef"].([]any), 1.0)
+	bad, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad-model.json")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/reload", strings.NewReader(fmt.Sprintf(`{"path":%q}`, path)))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), core.ErrInvalidModel.Error()) {
+		t.Fatalf("reload of an unevaluable model: status %d %s, want 422 naming %q", resp.StatusCode, data, core.ErrInvalidModel)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/detect", clipSetBody(t, b.Train[:3]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("detect after a refused reload: status %d %s", resp.StatusCode, data)
+	}
 }
 
 func scanBody(t testing.TB, b *iccad.Benchmark) *bytes.Buffer {

@@ -27,10 +27,10 @@
 // portable reference would be ruinously slow on hardware without the
 // instruction. Two roundings everywhere is the contract.
 //
-// The scalar decision path, the batched decision path, the SMO solver, the
-// prescreen envelope, and every scan path in internal/core funnel through
-// these primitives, which is what keeps reports and model artifacts
-// byte-identical across CPUs and across the HOTSPOT_NOSIMD knob.
+// The scalar decision path, the batched decision path, the SMO solver, and
+// every scan path in internal/core funnel through these primitives, which
+// is what keeps reports and model artifacts byte-identical across CPUs and
+// across the HOTSPOT_NOSIMD knob.
 //
 // # Dispatch
 //
