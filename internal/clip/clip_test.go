@@ -1,7 +1,12 @@
 package clip
 
 import (
+	"context"
+	"errors"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
@@ -94,20 +99,33 @@ func TestCoreRects(t *testing.T) {
 }
 
 func TestDissect(t *testing.T) {
-	got := appendDissected(nil, geom.R(0, 0, 2500, 900), 1200)
+	r := geom.R(0, 0, 2500, 900)
 	// 3 x-pieces (1200, 1200, 100) x 1 y-piece.
-	if len(got) != 3 {
-		t.Fatalf("pieces: %v", got)
+	if nx, ny := pieceGrid(r, 1200); nx != 3 || ny != 1 {
+		t.Fatalf("pieces: %d x %d, want 3 x 1", nx, ny)
 	}
-	var area int64
-	for _, r := range got {
-		if r.W() > 1200 || r.H() > 1200 {
-			t.Fatalf("piece too large: %v", r)
-		}
-		area += r.Area()
+	var got []geom.Point
+	forEachAnchorIn(r, 1200, r, func(at geom.Point) bool {
+		got = append(got, at)
+		return true
+	})
+	if want := []geom.Point{{X: 0}, {X: 1200}, {X: 2400}}; !slices.Equal(got, want) {
+		t.Fatalf("anchors: %v, want %v", got, want)
 	}
-	if area != geom.R(0, 0, 2500, 900).Area() {
-		t.Fatalf("dissect area mismatch: %d", area)
+	// A rectangle ending at MaxInt32 still dissects into a finite grid,
+	// and the anchor walk ends instead of wrapping (it stops at 10 if
+	// not).
+	edge := geom.R(2147482000, 0, math.MaxInt32, 100)
+	if nx, ny := pieceGrid(edge, 1200); nx != 2 || ny != 1 {
+		t.Fatalf("edge pieces: %d x %d, want 2 x 1", nx, ny)
+	}
+	n := 0
+	forEachAnchorIn(edge, 1200, edge, func(geom.Point) bool {
+		n++
+		return n < 10
+	})
+	if n != 2 {
+		t.Fatalf("edge anchors: %d, want 2", n)
 	}
 }
 
@@ -187,6 +205,44 @@ func TestExtractParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: candidate %d differs: %v vs %v", workers, i, par[i], serial[i])
 			}
 		}
+	}
+}
+
+// TestExtractCancelledOnHugeRect extracts a solid 1.2 x 2 mm rectangle,
+// 1.67M pieces that all qualify, under a 50 ms deadline, through both the
+// whole-layout and the tile path. Each must return the deadline error
+// within a second: a rectangle's area, unlike its coordinates, is not
+// refused up front, so extraction itself has to stop.
+func TestExtractCancelledOnHugeRect(t *testing.T) {
+	l := layout.New("huge")
+	huge := geom.R(0, 0, 1_200_000, 2_000_000)
+	l.AddRect(1, huge)
+	for name, extract := range map[string]func(context.Context) error{
+		"layout": func(ctx context.Context) error {
+			_, err := ExtractContext(ctx, l, 1, DefaultSpec, DefaultRequirements, 2, nil)
+			return err
+		},
+		"tile": func(ctx context.Context) error {
+			_, err := ExtractTile(ctx, l, 1, DefaultSpec, DefaultRequirements, huge)
+			return err
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		errc := make(chan error, 1)
+		go func() { errc <- extract(ctx) }()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: err = %v, want DeadlineExceeded", name, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s: returned %v after a 50ms deadline", name, d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: still extracting 10s after a 50ms deadline", name)
+		}
+		cancel()
 	}
 }
 

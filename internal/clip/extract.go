@@ -1,6 +1,7 @@
 package clip
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -68,7 +69,7 @@ type Candidate struct {
 // candidate is kept when the polygon distribution inside the clip meets the
 // requirements. Duplicate core positions are merged.
 func Extract(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements) []Candidate {
-	return extractParallel(l, layer, spec, req, 1, nil)
+	return ExtractParallelObs(l, layer, spec, req, 1, nil)
 }
 
 // Key identifies a candidate's (snap cell, core topology) deduplication
@@ -152,63 +153,96 @@ func ExtractParallel(l *layout.Layout, layer layout.Layer, spec Spec, req Requir
 // accumulated per band outside the per-piece loop, so instrumentation does
 // not slow the scan, and a nil reg is exactly ExtractParallel.
 func ExtractParallelObs(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) []Candidate {
+	out, _ := ExtractContext(context.Background(), l, layer, spec, req, workers, reg)
+	return out
+}
+
+// ExtractContext is ExtractParallelObs with cooperative cancellation: every
+// worker checks ctx once per ctxCheckPieces pieces, and a cancelled
+// extraction returns ctx's error and no candidates. Pieces are enumerated
+// from each rectangle as they are evaluated, never collected first, so a
+// rectangle far larger than a clip costs time, which ctx bounds, rather
+// than memory.
+func ExtractContext(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) ([]Candidate, error) {
 	start := time.Now()
-	out := extractParallel(l, layer, spec, req, workers, reg)
+	out, err := extractParallel(ctx, l, layer, spec, req, workers, reg)
+	if err != nil {
+		return nil, err
+	}
 	if reg != nil {
 		reg.Counter("clip.candidates").Add(int64(len(out)))
 		reg.Histogram("clip.extract_seconds").ObserveDuration(time.Since(start))
 	}
-	return out
+	return out, nil
 }
 
-func extractParallel(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) []Candidate {
-	if workers <= 1 {
-		pieces := DissectLayer(l, layer, spec.CoreSide)
-		reg.Counter("clip.pieces").Add(int64(len(pieces)))
-		kcs := make([]Keyed, 0, len(pieces)/4)
-		for _, piece := range pieces {
-			at := geom.Pt(piece.X0, piece.Y0)
-			if !MeetsRequirements(l, layer, spec, at, req) {
-				continue
-			}
-			kcs = append(kcs, Keyed{At: at, Key: KeyFor(l, layer, spec, at, req)})
-		}
-		reg.Counter("clip.candidates_prededup").Add(int64(len(kcs)))
-		return anchorsOf(DedupCanonical(kcs))
+// ctxCheckPieces is how many pieces an extraction worker evaluates between
+// context checks: a few milliseconds of work.
+const ctxCheckPieces = 256
+
+// extractParallel splits the layer's pieces, numbered in dissection order
+// (rectangle by rectangle, each row-major from its bottom-left corner),
+// into one contiguous range per worker.
+func extractParallel(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) ([]Candidate, error) {
+	rects := l.Rects(layer)
+	// ends[i] counts the pieces of rects[:i+1].
+	ends := make([]int64, len(rects))
+	var total int64
+	for i, r := range rects {
+		nx, ny := pieceGrid(r, spec.CoreSide)
+		total += nx * ny
+		ends[i] = total
 	}
-	pieces := DissectLayer(l, layer, spec.CoreSide)
-	reg.Counter("clip.pieces").Add(int64(len(pieces)))
-	chunk := (len(pieces) + workers - 1) / workers
-	if chunk == 0 {
-		chunk = 1
-	}
+	reg.Counter("clip.pieces").Add(total)
+	workers = max(workers, 1)
+	chunk := max((total+int64(workers)-1)/int64(workers), 1)
+	parts := (total + chunk - 1) / chunk
+	results := make([][]Keyed, parts)
+	errs := make([]error, parts)
 	var wg sync.WaitGroup
-	results := make([][]Keyed, (len(pieces)+chunk-1)/chunk)
-	for w := 0; w*chunk < len(pieces); w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pieces) {
-			hi = len(pieces)
-		}
+	for slot := int64(0); slot < parts; slot++ {
 		wg.Add(1)
-		go func(slot int, part []geom.Rect) {
+		go func(slot int64) {
 			defer wg.Done()
-			var cs []Keyed
-			for _, piece := range part {
-				at := geom.Pt(piece.X0, piece.Y0)
-				if MeetsRequirements(l, layer, spec, at, req) {
-					cs = append(cs, Keyed{At: at, Key: KeyFor(l, layer, spec, at, req)})
-				}
-			}
-			results[slot] = cs
-		}(w, pieces[lo:hi])
+			results[slot], errs[slot] = keyPieces(ctx, l, layer, spec, req, rects, ends, slot*chunk, min((slot+1)*chunk, total))
+		}(slot)
 	}
 	wg.Wait()
 	var kcs []Keyed
-	for _, cs := range results {
+	for slot, cs := range results {
+		if errs[slot] != nil {
+			return nil, errs[slot]
+		}
 		kcs = append(kcs, cs...)
 	}
 	reg.Counter("clip.candidates_prededup").Add(int64(len(kcs)))
-	return anchorsOf(DedupCanonical(kcs))
+	return anchorsOf(DedupCanonical(kcs)), nil
+}
+
+// keyPieces evaluates the pieces numbered [lo, hi) (see extractParallel)
+// and keys the qualifying ones.
+func keyPieces(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, rects []geom.Rect, ends []int64, lo, hi int64) ([]Keyed, error) {
+	var cs []Keyed
+	side := int64(max(spec.CoreSide, 0))
+	i := sort.Search(len(ends), func(i int) bool { return ends[i] > lo })
+	for k := lo; k < hi; i++ {
+		r := rects[i]
+		nx, ny := pieceGrid(r, spec.CoreSide)
+		first := ends[i] - nx*ny
+		for ; k < hi && k < ends[i]; k++ {
+			if (k-lo)%ctxCheckPieces == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			j := k - first
+			at := geom.Pt(r.X0+geom.Coord(j%nx*side), r.Y0+geom.Coord(j/nx*side))
+			if MeetsRequirements(l, layer, spec, at, req) {
+				cs = append(cs, Keyed{At: at, Key: KeyFor(l, layer, spec, at, req)})
+			}
+		}
+	}
+	return cs, nil
 }
 
 // anchorsOf projects deduplicated keyed candidates onto plain candidates.
@@ -232,72 +266,74 @@ func anchorsOf(kcs []Keyed) []Candidate {
 // rectangle intersecting that halo for results to match the monolithic
 // path. Because DedupCanonical is associative, concatenating the per-tile
 // results of a partition of the layout bounds and deduplicating once more
-// reproduces Extract exactly.
-func ExtractTile(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, region geom.Rect) []Keyed {
+// reproduces Extract exactly. ctx is checked once per ctxCheckPieces
+// anchors; a cancelled extraction returns ctx's error.
+func ExtractTile(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, region geom.Rect) ([]Keyed, error) {
 	var kcs []Keyed
+	var err error
+	n := 0
 	for _, r := range l.Query(layer, region, nil) {
-		forEachAnchorIn(r, spec.CoreSide, region, func(at geom.Point) {
+		forEachAnchorIn(r, spec.CoreSide, region, func(at geom.Point) bool {
+			if n%ctxCheckPieces == 0 {
+				if err = ctx.Err(); err != nil {
+					return false
+				}
+			}
+			n++
 			if MeetsRequirements(l, layer, spec, at, req) {
 				kcs = append(kcs, Keyed{At: at, Key: KeyFor(l, layer, spec, at, req)})
 			}
+			return true
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return DedupCanonical(kcs)
+	return DedupCanonical(kcs), nil
 }
 
 // forEachAnchorIn visits the dissection anchors of r (the bottom-left
-// corners of its maxSide-bounded pieces, as appendDissected lays them out)
-// that fall inside region, without materializing pieces outside it.
-func forEachAnchorIn(r geom.Rect, maxSide geom.Coord, region geom.Rect, f func(geom.Point)) {
+// corners of its maxSide-bounded pieces, see pieceGrid) that fall inside
+// region, without materializing pieces outside it, until f returns false.
+// Anchors step in int64, so a rectangle ending near MaxInt32 cannot wrap
+// the walk.
+func forEachAnchorIn(r geom.Rect, maxSide geom.Coord, region geom.Rect, f func(geom.Point) bool) {
 	if maxSide <= 0 {
 		if region.Contains(geom.Pt(r.X0, r.Y0)) {
 			f(geom.Pt(r.X0, r.Y0))
 		}
 		return
 	}
-	startAfter := func(r0, lo geom.Coord) geom.Coord {
+	side := int64(maxSide)
+	startAfter := func(r0, lo geom.Coord) int64 {
 		if lo <= r0 {
-			return r0
+			return int64(r0)
 		}
 		// First anchor r0 + k*maxSide >= lo.
-		k := (int64(lo) - int64(r0) + int64(maxSide) - 1) / int64(maxSide)
-		return r0 + geom.Coord(k)*maxSide
+		k := (int64(lo) - int64(r0) + side - 1) / side
+		return int64(r0) + k*side
 	}
-	for y := startAfter(r.Y0, region.Y0); y < r.Y1 && y < region.Y1; y += maxSide {
-		for x := startAfter(r.X0, region.X0); x < r.X1 && x < region.X1; x += maxSide {
-			f(geom.Pt(x, y))
-		}
-	}
-}
-
-// DissectLayer slices each geometry rectangle of the layer into pieces whose
-// width and height do not exceed maxSide (Fig. 11(a)).
-func DissectLayer(l *layout.Layout, layer layout.Layer, maxSide geom.Coord) []geom.Rect {
-	var out []geom.Rect
-	for _, r := range l.Rects(layer) {
-		out = appendDissected(out, r, maxSide)
-	}
-	return out
-}
-
-func appendDissected(out []geom.Rect, r geom.Rect, maxSide geom.Coord) []geom.Rect {
-	if maxSide <= 0 {
-		return append(out, r)
-	}
-	for y := r.Y0; y < r.Y1; y += maxSide {
-		y1 := y + maxSide
-		if y1 > r.Y1 {
-			y1 = r.Y1
-		}
-		for x := r.X0; x < r.X1; x += maxSide {
-			x1 := x + maxSide
-			if x1 > r.X1 {
-				x1 = r.X1
+	yEnd, xEnd := int64(min(r.Y1, region.Y1)), int64(min(r.X1, region.X1))
+	for y := startAfter(r.Y0, region.Y0); y < yEnd; y += side {
+		for x := startAfter(r.X0, region.X0); x < xEnd; x += side {
+			if !f(geom.Pt(geom.Coord(x), geom.Coord(y))) {
+				return
 			}
-			out = append(out, geom.Rect{X0: x, Y0: y, X1: x1, Y1: y1})
 		}
 	}
-	return out
+}
+
+// pieceGrid returns the columns and rows of the pieces, no larger than
+// maxSide on either side, that dissection cuts r into (Fig. 11(a)): one
+// per maxSide step from the bottom-left corner, the last of each row and
+// column clipped to r. Piece k, row-major, is anchored at
+// (r.X0 + (k%nx)*maxSide, r.Y0 + (k/nx)*maxSide). maxSide <= 0 keeps r
+// whole.
+func pieceGrid(r geom.Rect, maxSide geom.Coord) (nx, ny int64) {
+	if maxSide <= 0 && !r.Empty() {
+		return 1, 1
+	}
+	return r.Cells(maxSide)
 }
 
 // MeetsRequirements evaluates the polygon-distribution filters for the clip

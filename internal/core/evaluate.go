@@ -46,14 +46,16 @@ func (d *Detector) Detect(l *layout.Layout) Report {
 }
 
 // DetectContext is Detect with cooperative cancellation: the context's
-// deadline or cancellation is checked between pipeline stages and between
-// evaluation chunks (candidate clips are batched detectChunk at a time
-// through the flat SVM decision path), so a long full-chip scan stops
-// within one chunk's evaluation of the deadline. On cancellation the
-// partial report accumulated so far is returned together with the
-// context's error; callers must treat a non-nil error as "incomplete"
-// regardless of the report's contents. The concurrency guarantees of
-// Detect apply.
+// deadline or cancellation is checked between pipeline stages, every few
+// hundred pieces during clip extraction, and between evaluation chunks
+// (candidate clips are batched detectChunk at a time through the flat SVM
+// decision path), so a long full-chip scan stops within one chunk's
+// evaluation of the deadline. On cancellation the partial report
+// accumulated so far is returned together with the context's error;
+// callers must treat a non-nil error as "incomplete" regardless of the
+// report's contents. A layout too close to the int32 coordinate limits is
+// refused with ErrCoordRange before any work. The concurrency guarantees
+// of Detect apply.
 func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (Report, error) {
 	start := time.Now()
 	cfg := d.config()
@@ -66,13 +68,19 @@ func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (Report,
 	// design frame, which wire formats like the /v1/scan rect soup drop.
 	gb := l.GeometryBounds()
 	cfg.Requirements.SnapBase = geom.Pt(gb.X0, gb.Y0)
+	if err := checkCoordRange(gb, cfg.Spec, 0); err != nil {
+		return rep, err
+	}
 
 	sp := obs.Begin(tel, cfg.Obs, "detect.extract")
-	cands := clip.ExtractParallelObs(l, cfg.Layer, cfg.Spec, cfg.Requirements, cfg.Workers, cfg.Obs)
+	cands, err := clip.ExtractContext(ctx, l, cfg.Layer, cfg.Spec, cfg.Requirements, cfg.Workers, cfg.Obs)
 	rep.Candidates = len(cands)
 	sp.AddItems(int64(len(cands)))
 	sp.End()
-	if err := ctx.Err(); err != nil {
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		cfg.Obs.Counter("detect.cancelled").Inc()
 		rep.Runtime = time.Since(start)
 		return rep, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"hotspot/internal/clip"
@@ -67,8 +68,19 @@ func mergeAndReframe(cores []geom.Rect, cfg Config) []geom.Rect {
 	if minOverlap <= 0 {
 		minOverlap = 0.2
 	}
+	// Only overlapping pairs can merge, so each core takes its partners
+	// from the grid instead of testing every pair. Visiting them in
+	// ascending index order, j > i, makes the same union calls in the same
+	// order as the all-pairs loop: the roots, and so the output, are the
+	// same.
+	grid := layout.NewGrid(cores)
+	var near []int
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+		near = overlapping(grid, cores[i], near)
+		for _, j := range near {
+			if j <= i {
+				continue
+			}
 			ov := cores[i].OverlapArea(cores[j])
 			if ov <= 0 {
 				continue
@@ -159,11 +171,18 @@ func discardCovered(cores []geom.Rect, l *layout.Layout, cfg Config) []geom.Rect
 	for i := range alive {
 		alive[i] = true
 	}
+	// The grid yields the cores overlapping c; in ascending index order
+	// and filtered by alive, they are the all-pairs loop's others, seen
+	// with the same alive flags.
+	grid := layout.NewGrid(cores)
+	var near []int
+	others := make([]geom.Rect, 0, 8)
 	for i, c := range cores {
-		others := make([]geom.Rect, 0, 8)
-		for j, o := range cores {
-			if j != i && alive[j] && o.Overlaps(c) {
-				others = append(others, o)
+		near = overlapping(grid, c, near)
+		others = others[:0]
+		for _, j := range near {
+			if j != i && alive[j] {
+				others = append(others, cores[j])
 			}
 		}
 		if len(others) == 0 {
@@ -218,6 +237,14 @@ func discardCovered(cores []geom.Rect, l *layout.Layout, cfg Config) []geom.Rect
 		}
 	}
 	return out
+}
+
+// overlapping returns the indices of the cores in grid that overlap c, in
+// ascending order, reusing dst's storage.
+func overlapping(grid *layout.Grid, c geom.Rect, dst []int) []int {
+	dst = grid.Indices(c, dst[:0])
+	slices.Sort(dst)
+	return dst
 }
 
 // shiftToGravity recentres clips whose geometry sits far from the clip

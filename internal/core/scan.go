@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"time"
 
 	"hotspot/internal/clip"
@@ -35,6 +38,32 @@ type ScanOptions struct {
 	// (see ScanIncremental), which is also how an interrupted scan
 	// resumes. Ignored when Store is set.
 	StorePath string
+}
+
+// ErrCoordRange reports a layout whose coordinates come so close to the
+// int32 limits of geom.Coord that the tiles, halos or clip windows around
+// its geometry would wrap. DetectContext and every tiled scan entry point
+// refuse such a layout before any work starts.
+var ErrCoordRange = errors.New("core: layout coordinates out of range")
+
+// checkCoordRange returns ErrCoordRange unless bounds, grown on every side
+// by the tile side (0 means the default), the tile halo and the clip side,
+// lie inside the int32 range and are no wider or taller than it.
+func checkCoordRange(bounds geom.Rect, spec clip.Spec, tile geom.Coord) error {
+	if bounds.Empty() {
+		return nil
+	}
+	if tile <= 0 {
+		tile = scan.DefaultTileFactor * spec.ClipSide
+	}
+	m := int64(tile) + int64(spec.CoreSide) + int64(spec.Ambit()) + int64(spec.ClipSide)
+	x0, y0 := int64(bounds.X0)-m, int64(bounds.Y0)-m
+	x1, y1 := int64(bounds.X1)+m, int64(bounds.Y1)+m
+	if x0 < math.MinInt32 || y0 < math.MinInt32 || x1 > math.MaxInt32 || y1 > math.MaxInt32 ||
+		x1-x0 > math.MaxInt32 || y1-y0 > math.MaxInt32 {
+		return fmt.Errorf("%w: bounds %v grown by %d dbu leave the int32 coordinate range", ErrCoordRange, bounds, m)
+	}
+	return nil
 }
 
 // ScanStats reports a tiled scan's orchestration counters alongside the
@@ -131,6 +160,9 @@ func (d *Detector) scanWith(ctx context.Context, src scan.Source, opts ScanOptio
 	var rep Report
 	var stats ScanStats
 	tel := &rep.Telemetry
+	if err := checkCoordRange(src.Bounds(), cfg.Spec, opts.Tile); err != nil {
+		return rep, stats, err
+	}
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -236,6 +268,9 @@ func assembleScanReport(rep *Report, cands []scan.Candidate, cfg Config, complet
 // monolithic run exactly.
 func (d *Detector) ScanShardContext(ctx context.Context, l *layout.Layout, window geom.Rect, snapBase geom.Point, opts ScanOptions) ([]scan.Candidate, ScanStats, error) {
 	cfg := d.config()
+	if err := checkCoordRange(l.Bounds.Union(window), cfg.Spec, opts.Tile); err != nil {
+		return nil, ScanStats{}, err
+	}
 	cfg.Requirements.SnapBase = snapBase
 	workers := opts.Workers
 	if workers <= 0 {
@@ -302,7 +337,10 @@ func (d *Detector) tileEvaluator(cfg Config) scan.TileFunc {
 	evalCfg := cfg
 	evalCfg.Workers = 1
 	return func(ctx context.Context, tl *layout.Layout, tile geom.Rect) ([]scan.Candidate, error) {
-		kcs := clip.ExtractTile(tl, cfg.Layer, cfg.Spec, cfg.Requirements, tile)
+		kcs, err := clip.ExtractTile(ctx, tl, cfg.Layer, cfg.Spec, cfg.Requirements, tile)
+		if err != nil {
+			return nil, err
+		}
 		out := make([]scan.Candidate, 0, len(kcs))
 		// One pooled arena per tile: across the thousands of tiles of a
 		// full-chip scan the pool converges to one warmed arena per scan
@@ -366,26 +404,40 @@ func gdsSupportLayout(lib *gds.Library, top string, cores []geom.Rect, cfg Confi
 // windows (to their union bounding box) until all are pairwise disjoint.
 // Merging guarantees every removal merge group — cores connected by
 // overlap — lies inside a single window, with its whole ambit-expanded
-// extent covered.
+// extent covered. A window absorbed in a pass is marked dead and the
+// survivors are compacted once after the pass, so the comparisons run in
+// the order of deleting each absorbed window on the spot, without its
+// O(n) shift.
 func disjointWindows(cores []geom.Rect, margin geom.Coord) []geom.Rect {
 	ws := make([]geom.Rect, len(cores))
 	for i, c := range cores {
 		ws[i] = c.Expand(margin)
 	}
+	dead := make([]bool, len(ws))
 	for {
 		merged := false
-		for i := 0; i < len(ws); i++ {
+		for i := range ws {
+			if dead[i] {
+				continue
+			}
 			for j := i + 1; j < len(ws); j++ {
-				if ws[i].Overlaps(ws[j]) {
+				if !dead[j] && ws[i].Overlaps(ws[j]) {
 					ws[i] = ws[i].Union(ws[j])
-					ws = append(ws[:j], ws[j+1:]...)
+					dead[j] = true
 					merged = true
-					j--
 				}
 			}
 		}
 		if !merged {
 			return ws
 		}
+		live := ws[:0]
+		for i, w := range ws {
+			if !dead[i] {
+				live = append(live, w)
+			}
+		}
+		ws, dead = live, dead[:len(live)]
+		clear(dead)
 	}
 }

@@ -128,6 +128,18 @@ func (r Rect) Expand(d Coord) Rect {
 	return Rect{r.X0 - d, r.Y0 - d, r.X1 + d, r.Y1 + d}
 }
 
+// Cells returns the columns and rows of side x side cells, laid from r's
+// low corner, that cover r (the last of each clipped to r). It counts in
+// int64, so no extent or product wraps; an empty r has none. side must be
+// positive.
+func (r Rect) Cells(side Coord) (nx, ny int64) {
+	if r.Empty() {
+		return 0, 0
+	}
+	s := int64(side)
+	return (int64(r.X1) - int64(r.X0) + s - 1) / s, (int64(r.Y1) - int64(r.Y0) + s - 1) / s
+}
+
 // OverlapArea returns the shared area of r and s.
 func (r Rect) OverlapArea(s Rect) int64 { return r.Intersect(s).Area() }
 

@@ -20,42 +20,51 @@ type Grid struct {
 	rects  []geom.Rect
 }
 
+// MaxGridCells bounds the cells of a Grid: NewGrid doubles the cell side
+// until the grid fits, so an index over a sparse, wide extent stays a few
+// tens of megabytes of cell headers.
+const MaxGridCells = 1 << 22
+
 // NewGrid indexes rects. The cell size is derived from the average rectangle
-// dimension so that typical rectangles span only a few cells.
+// dimension so that typical rectangles span only a few cells. Empty
+// rectangles overlap nothing, so they are neither indexed nor counted.
+// Sizes are computed in int64, so no extent or cell side wraps.
 func NewGrid(rects []geom.Rect) *Grid {
-	g := &Grid{rects: rects}
-	if len(rects) == 0 {
-		g.nx, g.ny, g.cell = 1, 1, 1
+	g := &Grid{rects: rects, nx: 1, ny: 1, cell: 1}
+	var sumDim, n int64
+	for _, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		g.bounds = g.bounds.Union(r)
+		sumDim += int64(r.X1) - int64(r.X0) + int64(r.Y1) - int64(r.Y0)
+		n++
+	}
+	if n == 0 {
 		g.cells = make([][]int32, 1)
 		return g
 	}
-	g.bounds = geom.BoundingBox(rects)
-	var sumDim int64
-	for _, r := range rects {
-		sumDim += int64(r.W()) + int64(r.H())
-	}
-	avg := sumDim / int64(2*len(rects))
-	if avg < 1 {
-		avg = 1
-	}
-	// Cell side: 4x the average dimension, clamped so the grid stays
-	// within a few million cells.
-	cell := geom.Coord(avg * 4)
+	w := int64(g.bounds.X1) - int64(g.bounds.X0)
+	h := int64(g.bounds.Y1) - int64(g.bounds.Y0)
+	// Cell side: 4x the average dimension, doubled until the grid has at
+	// most MaxGridCells cells; a side too large to double is one cell.
+	cell := min(max(sumDim/(2*n), 1)*4, math.MaxInt32)
 	for {
-		nx := int(int64(g.bounds.W())/int64(cell)) + 1
-		ny := int(int64(g.bounds.H())/int64(cell)) + 1
-		if int64(nx)*int64(ny) <= 1<<22 {
-			g.nx, g.ny, g.cell = nx, ny, cell
+		if nx, ny := w/cell+1, h/cell+1; nx*ny <= MaxGridCells {
+			g.nx, g.ny = int(nx), int(ny)
 			break
 		}
 		if cell > math.MaxInt32/2 {
-			g.nx, g.ny, g.cell = 1, 1, cell
 			break
 		}
 		cell *= 2
 	}
+	g.cell = geom.Coord(cell)
 	g.cells = make([][]int32, g.nx*g.ny)
 	for i, r := range rects {
+		if r.Empty() {
+			continue
+		}
 		x0, x1, y0, y1 := g.cellRange(r)
 		for y := y0; y <= y1; y++ {
 			for x := x0; x <= x1; x++ {
@@ -72,25 +81,11 @@ func (g *Grid) cellRange(r geom.Rect) (x0, x1, y0, y1 int) {
 }
 
 func (g *Grid) cellX(x geom.Coord) int {
-	i := int(int64(x-g.bounds.X0) / int64(g.cell))
-	if i < 0 {
-		i = 0
-	}
-	if i >= g.nx {
-		i = g.nx - 1
-	}
-	return i
+	return min(max(int((int64(x)-int64(g.bounds.X0))/int64(g.cell)), 0), g.nx-1)
 }
 
 func (g *Grid) cellY(y geom.Coord) int {
-	i := int(int64(y-g.bounds.Y0) / int64(g.cell))
-	if i < 0 {
-		i = 0
-	}
-	if i >= g.ny {
-		i = g.ny - 1
-	}
-	return i
+	return min(max(int((int64(y)-int64(g.bounds.Y0))/int64(g.cell)), 0), g.ny-1)
 }
 
 // Query appends the indexed rectangles overlapping window to dst and returns
@@ -105,30 +100,45 @@ func (g *Grid) Query(window geom.Rect, dst []geom.Rect) []geom.Rect {
 		for x := qx0; x <= qx1; x++ {
 			for _, idx := range g.cells[y*g.nx+x] {
 				r := g.rects[idx]
-				if !r.Overlaps(window) {
-					continue
+				if r.Overlaps(window) && g.canonical(r, x, y, qx0, qy0) {
+					dst = append(dst, r)
 				}
-				// Canonical cell: report only from the first query cell the
-				// rectangle appears in.
-				rx0, _, ry0, _ := g.cellRange(r)
-				if max(rx0, qx0) != x || max(ry0, qy0) != y {
-					continue
-				}
-				dst = append(dst, r)
 			}
 		}
 	}
 	return dst
 }
 
+// Indices is Query reporting positions in the indexed slice instead of
+// rectangles: it appends the index of every indexed rectangle overlapping
+// window to dst, once each, in cell order (ascending within a cell, not
+// overall). Safe for concurrent use.
+func (g *Grid) Indices(window geom.Rect, dst []int) []int {
+	if len(g.rects) == 0 || !window.Overlaps(g.bounds) {
+		return dst
+	}
+	w := window.Intersect(g.bounds)
+	qx0, qx1, qy0, qy1 := g.cellRange(w)
+	for y := qy0; y <= qy1; y++ {
+		for x := qx0; x <= qx1; x++ {
+			for _, idx := range g.cells[y*g.nx+x] {
+				if r := g.rects[idx]; r.Overlaps(window) && g.canonical(r, x, y, qx0, qy0) {
+					dst = append(dst, int(idx))
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// canonical reports whether cell (x, y) is where a query whose cell range
+// starts at (qx0, qy0) reports r: the first query cell r is registered in.
+// Every rectangle overlapping the query is reported exactly once.
+func (g *Grid) canonical(r geom.Rect, x, y, qx0, qy0 int) bool {
+	return max(g.cellX(r.X0), qx0) == x && max(g.cellY(r.Y0), qy0) == y
+}
+
 // Count returns the number of indexed rectangles overlapping window.
 func (g *Grid) Count(window geom.Rect) int {
 	return len(g.Query(window, nil))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package layout
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -56,19 +57,28 @@ func TestQueryMatchesBruteForce(t *testing.T) {
 		l.AddRect(1, r)
 		all = append(all, r)
 	}
+	g := NewGrid(all)
 	for trial := 0; trial < 100; trial++ {
 		x := geom.Coord(rng.Intn(10000) - 500)
 		y := geom.Coord(rng.Intn(10000) - 500)
 		w := geom.R(x, y, x+geom.Coord(rng.Intn(2000)), y+geom.Coord(rng.Intn(2000)))
 		got := l.Query(1, w, nil)
 		var want []geom.Rect
-		for _, r := range all {
+		var wantIdx []int
+		for i, r := range all {
 			if r.Overlaps(w) {
 				want = append(want, r)
+				wantIdx = append(wantIdx, i)
 			}
 		}
 		if !sameRectSet(got, want) {
 			t.Fatalf("trial %d window %v: got %d rects, want %d", trial, w, len(got), len(want))
+		}
+		// Indices names the same rectangles by position, each once.
+		gotIdx := g.Indices(w, nil)
+		sort.Ints(gotIdx)
+		if !slices.Equal(gotIdx, wantIdx) {
+			t.Fatalf("trial %d window %v: Indices = %v, want %v", trial, w, gotIdx, wantIdx)
 		}
 	}
 }
@@ -117,6 +127,30 @@ func TestQueryNoDuplicatesForSpanningRects(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("spanning rect reported %d times", count)
+	}
+}
+
+// TestGridDegenerateAndWideRects indexes sets NewGrid once panicked on
+// with a negative cell count: an inverted rectangle first (it set the
+// bounds), and a rectangle so wide that 4x the average dimension wrapped
+// int32. Empty rectangles are never reported; the wide ones are found.
+func TestGridDegenerateAndWideRects(t *testing.T) {
+	inverted := geom.Rect{X0: 13536, Y0: 0, X1: 12336, Y1: 1200}
+	wide := geom.R(-2000000000, -2000000000, -199999000, -1999999900)
+	for _, tc := range []struct {
+		rects  []geom.Rect
+		window geom.Rect
+		want   []int
+	}{
+		{[]geom.Rect{inverted}, geom.R(0, 0, 20000, 2000), nil},
+		{[]geom.Rect{inverted, geom.R(0, 0, 1200, 1200), {}}, geom.R(0, 0, 20000, 2000), []int{1}},
+		{[]geom.Rect{wide}, geom.R(-1000000000, -2000000000, -999999000, -1999999000), []int{0}},
+		{[]geom.Rect{wide, geom.R(2000000000, 0, 2000001000, 100)}, geom.R(2000000000, 0, 2000000001, 1), []int{1}},
+	} {
+		got := NewGrid(tc.rects).Indices(tc.window, nil)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("NewGrid(%v).Indices(%v) = %v, want %v", tc.rects, tc.window, got, tc.want)
+		}
 	}
 }
 

@@ -163,6 +163,9 @@ func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, 
 	if !opts.Window.Empty() {
 		span = opts.Window
 	}
+	if err := checkTileGrid(span, opts.Tile); err != nil {
+		return res, err
+	}
 	tiles := tilesOver(span, opts.Tile)
 	reg := opts.Obs
 	reg.Counter("scan.runs").Inc()

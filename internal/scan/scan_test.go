@@ -3,13 +3,17 @@ package scan
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hotspot/internal/clip"
 	"hotspot/internal/geom"
@@ -49,8 +53,11 @@ func denseLayout(t testing.TB, seed int64, w, h geom.Coord) *layout.Layout {
 // plain clip extraction with a deterministic pseudo-classification, so
 // equivalence checks exercise the same merge paths core will.
 func extractEval(layer layout.Layer, spec clip.Spec, req clip.Requirements) TileFunc {
-	return func(_ context.Context, l *layout.Layout, tile geom.Rect) ([]Candidate, error) {
-		kcs := clip.ExtractTile(l, layer, spec, req, tile)
+	return func(ctx context.Context, l *layout.Layout, tile geom.Rect) ([]Candidate, error) {
+		kcs, err := clip.ExtractTile(ctx, l, layer, spec, req, tile)
+		if err != nil {
+			return nil, err
+		}
 		out := make([]Candidate, len(kcs))
 		for i, kc := range kcs {
 			out[i] = Candidate{At: kc.At, Key: kc.Key, Flagged: (kc.At.X/spec.CoreSide)%2 == 0}
@@ -59,29 +66,42 @@ func extractEval(layer layout.Layer, spec clip.Spec, req clip.Requirements) Tile
 	}
 }
 
+// TestTilesOverPartition checks that tiles partition their bounds,
+// including spans whose last tile edge would pass MaxInt32, where an int32
+// step wrapped negative and never ended.
 func TestTilesOverPartition(t *testing.T) {
-	bounds := geom.Rect{X0: -100, Y0: 50, X1: 2500, Y1: 2050}
-	tiles := tilesOver(bounds, 1000)
-	if len(tiles) != 6 {
-		t.Fatalf("got %d tiles, want 6", len(tiles))
-	}
-	var area int64
-	for i, a := range tiles {
-		if a.Empty() {
-			t.Fatalf("tile %d empty: %v", i, a)
+	for _, tc := range []struct {
+		bounds geom.Rect
+		side   geom.Coord
+		want   int
+	}{
+		{geom.Rect{X0: -100, Y0: 50, X1: 2500, Y1: 2050}, 1000, 6},
+		{geom.R(2147482000, 0, math.MaxInt32, 100), 38400, 1},
+		{geom.R(0, 0, 1000, 100), math.MaxInt32, 1},
+		{geom.R(math.MaxInt32-5000, math.MaxInt32-2500, math.MaxInt32, math.MaxInt32), 2000, 6},
+	} {
+		tiles := tilesOver(tc.bounds, tc.side)
+		if len(tiles) != tc.want {
+			t.Fatalf("tilesOver(%v, %d): %d tiles, want %d", tc.bounds, tc.side, len(tiles), tc.want)
 		}
-		if a.Intersect(bounds) != a {
-			t.Errorf("tile %v exceeds bounds %v", a, bounds)
-		}
-		area += a.Area()
-		for _, b := range tiles[i+1:] {
-			if a.Overlaps(b) {
-				t.Errorf("tiles %v and %v overlap", a, b)
+		var area int64
+		for i, a := range tiles {
+			if a.Empty() {
+				t.Fatalf("tile %d empty: %v", i, a)
+			}
+			if a.Intersect(tc.bounds) != a {
+				t.Errorf("tile %v exceeds bounds %v", a, tc.bounds)
+			}
+			area += a.Area()
+			for _, b := range tiles[i+1:] {
+				if a.Overlaps(b) {
+					t.Errorf("tiles %v and %v overlap", a, b)
+				}
 			}
 		}
-	}
-	if area != bounds.Area() {
-		t.Errorf("tile area %d != bounds area %d", area, bounds.Area())
+		if area != tc.bounds.Area() {
+			t.Errorf("tile area %d != bounds area %d", area, tc.bounds.Area())
+		}
 	}
 	if tilesOver(geom.Rect{}, 1000) != nil {
 		t.Error("empty bounds should yield no tiles")
@@ -428,6 +448,39 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}, extractEval(1, testSpec, clip.Requirements{}))
 	if err == nil {
 		t.Fatal("tile below core side should be rejected")
+	}
+}
+
+// TestRunRefusesOversizedTileGrid scans two small rectangles at opposite
+// corners of a 10^9-dbu square. At the default tile side that is about
+// 6.8 x 10^8 tiles: Run must refuse it with ErrTooManyTiles, naming the
+// smallest tile side that fits, before it allocates a tile list. Before
+// the ceiling, Run allocated until the process ran out of memory.
+func TestRunRefusesOversizedTileGrid(t *testing.T) {
+	l := layout.New("corners")
+	l.AddRect(1, geom.R(0, 0, 1000, 100))
+	l.AddRect(1, geom.R(1_000_000_000, 1_000_000_000, 1_000_001_000, 1_000_000_100))
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err = Run(context.Background(), NewLayoutSource(l, 1), Options{Spec: testSpec, Layer: 1},
+			extractEval(1, testSpec, clip.Requirements{}))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still running after 10s")
+	}
+	if !errors.Is(err, ErrTooManyTiles) {
+		t.Fatalf("err = %v, want ErrTooManyTiles", err)
+	}
+	side := minTileSide(l.Bounds, DefaultTileFactor*testSpec.ClipSide)
+	if !tilesFit(l.Bounds, side) || tilesFit(l.Bounds, side-1) {
+		t.Fatalf("minTileSide = %d, not the smallest side that fits", side)
+	}
+	if !strings.HasSuffix(err.Error(), fmt.Sprintf("raise the tile side to at least %d", side)) {
+		t.Fatalf("error does not name tile side %d: %v", side, err)
 	}
 }
 

@@ -1,22 +1,73 @@
 package scan
 
 import (
+	"errors"
+	"fmt"
+
 	"hotspot/internal/geom"
+	"hotspot/internal/layout"
 )
+
+// maxTiles bounds the tile grid Run accepts, at the cell ceiling of
+// layout.Grid. A grid above it is a hostile or mistaken request (a few
+// rectangles at opposite corners of the coordinate range), not a chip.
+const maxTiles = layout.MaxGridCells
+
+// ErrTooManyTiles reports a scan whose tile grid would exceed maxTiles
+// tiles at the requested tile side.
+var ErrTooManyTiles = errors.New("scan: tile grid too large")
+
+// checkTileGrid returns ErrTooManyTiles when bounds make more than
+// maxTiles tiles at side, naming the smallest side that fits.
+func checkTileGrid(bounds geom.Rect, side geom.Coord) error {
+	if tilesFit(bounds, side) {
+		return nil
+	}
+	nx, ny := bounds.Cells(side)
+	return fmt.Errorf("%w: %v at tile side %d is %d x %d tiles, above the %d-tile limit; raise the tile side to at least %d",
+		ErrTooManyTiles, bounds, side, nx, ny, maxTiles, minTileSide(bounds, side))
+}
+
+// tilesFit reports whether bounds make at most maxTiles tiles at side.
+func tilesFit(bounds geom.Rect, side geom.Coord) bool {
+	nx, ny := bounds.Cells(side)
+	return nx <= maxTiles && ny <= maxTiles && nx*ny <= maxTiles
+}
+
+// minTileSide returns the smallest side above tooSmall at which bounds fit
+// in maxTiles tiles. A side of 1<<21 tiles any int32 extent in 2048 x 2048
+// tiles, so the binary search starts below it.
+func minTileSide(bounds geom.Rect, tooSmall geom.Coord) geom.Coord {
+	lo, hi := tooSmall, geom.Coord(1<<21)
+	for lo+1 < hi {
+		if mid := lo + (hi-lo)/2; tilesFit(bounds, mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
 
 // tilesOver partitions bounds into a grid of side-by-side tiles of the
 // given side (edge tiles are clipped to the bounds). Tiles are half-open
 // on both axes, so every dissection anchor — which always lies strictly
-// inside the bounds on its low sides — belongs to exactly one tile.
+// inside the bounds on its low sides — belongs to exactly one tile. Tile
+// edges step in int64, so a side reaching past the int32 range ends the
+// row instead of wrapping; callers bound the count with checkTileGrid.
 func tilesOver(bounds geom.Rect, side geom.Coord) []geom.Rect {
-	if bounds.Empty() {
+	nx, ny := bounds.Cells(side)
+	if nx == 0 || ny == 0 {
 		return nil
 	}
-	var out []geom.Rect
-	for y := bounds.Y0; y < bounds.Y1; y += side {
-		y1 := min(y+side, bounds.Y1)
-		for x := bounds.X0; x < bounds.X1; x += side {
-			out = append(out, geom.Rect{X0: x, Y0: y, X1: min(x+side, bounds.X1), Y1: y1})
+	out := make([]geom.Rect, 0, nx*ny)
+	edge := func(lo geom.Coord, i int64, hi geom.Coord) geom.Coord {
+		return geom.Coord(min(int64(lo)+i*int64(side), int64(hi)))
+	}
+	for iy := int64(0); iy < ny; iy++ {
+		y0, y1 := edge(bounds.Y0, iy, bounds.Y1), edge(bounds.Y0, iy+1, bounds.Y1)
+		for ix := int64(0); ix < nx; ix++ {
+			out = append(out, geom.Rect{X0: edge(bounds.X0, ix, bounds.X1), Y0: y0, X1: edge(bounds.X0, ix+1, bounds.X1), Y1: y1})
 		}
 	}
 	return out

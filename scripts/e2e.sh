@@ -5,7 +5,9 @@
 # second distributed scan during which one backend is killed mid-flight,
 # then kill -9 a third distributed scan (with a shard store) once it has
 # stored two shards and resume it from the store — every distributed
-# report must be byte-identical to the local reference.
+# report must be byte-identical to the local reference. Last, a layout
+# whose coordinates reach the int32 limit is posted to the surviving
+# backend: it must answer 400 and stay ready.
 #
 # Mirrors the `e2e` job in .github/workflows/ci.yml; run locally with
 # `make e2e`. Tunables (env): BENCH, SCALE, TILE, SHARDS, PORT1, PORT2.
@@ -126,4 +128,18 @@ fi
 echo "==> comparing resumed report against local reference"
 diff -u "$work/local.json" "$work/dist-resume.json"
 
-echo "e2e smoke: OK (distributed reports byte-identical to local scan)"
+echo "==> hostile layout: near-MaxInt32 rect must get 400, backend stays ready"
+code=$(curl -s -o "$work/hostile.json" -w '%{http_code}' --max-time 20 \
+  -d '{"rects": [[2147482000,0,2147483647,100]]}' "http://127.0.0.1:$PORT1/v1/scan")
+if [ "$code" != 400 ]; then
+  echo "hostile body: status $code, want 400" >&2
+  cat "$work/hostile.json" >&2
+  exit 1
+fi
+ready=$(curl -s -o /dev/null -w '%{http_code}' --max-time 5 "http://127.0.0.1:$PORT1/readyz")
+if [ "$ready" != 200 ]; then
+  echo "backend not ready after the hostile body: /readyz status $ready" >&2
+  exit 1
+fi
+
+echo "e2e smoke: OK (distributed reports byte-identical to local scan; hostile body refused)"
