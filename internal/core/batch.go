@@ -7,6 +7,7 @@ import (
 
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
+	"hotspot/internal/scan"
 )
 
 // detectChunk bounds how many candidate clips DetectContext materializes
@@ -27,7 +28,10 @@ type batchVerdict struct {
 }
 
 // parallelFor runs f(0..n-1) across up to `workers` goroutines. With one
-// worker (the ours_nopara mode) it degrades to a plain loop.
+// worker (the ours_nopara mode) it degrades to a plain loop. A panic in f
+// stops the workers from taking more items and, once they have returned,
+// panics again on the caller's goroutine with a *scan.PanicError carrying
+// the first worker's panic value and stack.
 func parallelFor(n, workers int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -40,10 +44,17 @@ func parallelFor(n, workers int, f func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[scan.PanicError]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, scan.Recovered(v))
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -54,6 +65,9 @@ func parallelFor(n, workers int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // basicOnly reports whether the detector is the single-huge-kernel "Basic"

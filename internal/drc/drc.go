@@ -82,9 +82,9 @@ func CheckRects(rects []geom.Rect, window geom.Rect, rules Rules) []Violation {
 			}
 			return r.H()
 		}
-		adj := g.Right
+		fwd, back := g.Right, g.Left
 		if !horizontal {
-			adj = g.Up
+			fwd, back = g.Up, g.Down
 		}
 		for i, tile := range t.Tiles {
 			d := int64(dim(tile.R))
@@ -98,7 +98,7 @@ func CheckRects(rects []geom.Rect, window geom.Rect, rules Rules) []Violation {
 			}
 			// Space: a space tile between two blocks narrower than the rule.
 			if rules.MinSpace > 0 && d < int64(rules.MinSpace) {
-				if hasBlock(t, adj[i]) && hasBlock(t, incoming(adj, i)) {
+				if hasBlock(t, fwd[i]) && hasBlock(t, back[i]) {
 					out = append(out, Violation{Kind: Space, At: tile.R, Value: d, Limit: int64(rules.MinSpace)})
 				}
 			}
@@ -128,18 +128,6 @@ func hasBlock(t mtcg.Tiling, idx []int) bool {
 		}
 	}
 	return false
-}
-
-func incoming(adj [][]int, i int) []int {
-	var out []int
-	for j, set := range adj {
-		for _, k := range set {
-			if k == i {
-				out = append(out, j)
-			}
-		}
-	}
-	return out
 }
 
 // checkArea measures connected-component areas.

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"slices"
 
 	"hotspot/internal/geom"
 	"hotspot/internal/mtcg"
@@ -51,9 +52,16 @@ func ComputeNonTopo(rects []geom.Rect, window geom.Rect) NonTopo {
 			clipped = append(clipped, c)
 		}
 	}
+	gh, gv := buildGraphs(clipped, window)
+	return nonTopo(clipped, window, gh, gv)
+}
+
+// nonTopo computes the nontopological features of clipped (already clipped
+// to window) from its horizontal and vertical graphs gh and gv.
+func nonTopo(clipped []geom.Rect, window geom.Rect, gh, gv *mtcg.Graph) NonTopo {
 	var out NonTopo
 	out.Corners, out.Touches = cornersAndTouches(clipped)
-	out.MinInternal, out.MinExternal = minDistances(clipped, window)
+	out.MinInternal, out.MinExternal = minDistances(gh, gv)
 	if !window.Empty() {
 		out.Density = float64(geom.TotalArea(clipped)) / float64(window.Area())
 	}
@@ -63,47 +71,60 @@ func ComputeNonTopo(rects []geom.Rect, window geom.Rect) NonTopo {
 // cornersAndTouches counts corners and corner-touch points of the union of
 // rects by classifying every candidate vertex by its four filled quadrants:
 // 1 or 3 filled quadrants is a corner; 2 diagonal quadrants is a touch
-// point.
+// point. The candidate vertices are the full grid of edge coordinates, so
+// that union corners formed by overlapping rectangles are found too; the
+// quadrants around them are the cells of that grid, whose coverage is one
+// 2-D prefix sum over the rectangles' painted corners.
 func cornersAndTouches(rects []geom.Rect) (corners, touches int) {
-	// Candidate vertices: the full grid of edge coordinates, so that union
-	// corners formed by overlapping rectangles are found too.
-	type pt = geom.Point
-	xs := make(map[geom.Coord]bool)
-	ys := make(map[geom.Coord]bool)
+	xs := make([]geom.Coord, 0, 2*len(rects))
+	ys := make([]geom.Coord, 0, 2*len(rects))
 	for _, r := range rects {
-		xs[r.X0], xs[r.X1] = true, true
-		ys[r.Y0], ys[r.Y1] = true, true
+		xs = append(xs, r.X0, r.X1)
+		ys = append(ys, r.Y0, r.Y1)
 	}
-	cand := make(map[pt]bool, len(xs)*len(ys))
-	for x := range xs {
-		for y := range ys {
-			cand[pt{X: x, Y: y}] = true
+	slices.Sort(xs)
+	slices.Sort(ys)
+	xs, ys = slices.Compact(xs), slices.Compact(ys)
+	// cover[(j+1)*stride + i+1] counts the rectangles over the cell
+	// [xs[i], xs[i+1]) x [ys[j], ys[j+1]); the border row and column
+	// (index 0 and the last) lie outside every rectangle.
+	stride := len(xs) + 1
+	cover := make([]int32, stride*(len(ys)+1))
+	at := func(v []geom.Coord, c geom.Coord) int {
+		i, _ := slices.BinarySearch(v, c)
+		return i + 1
+	}
+	for _, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		x0, x1, y0, y1 := at(xs, r.X0), at(xs, r.X1), at(ys, r.Y0), at(ys, r.Y1)
+		cover[y0*stride+x0]++
+		cover[y0*stride+x1]--
+		cover[y1*stride+x0]--
+		cover[y1*stride+x1]++
+	}
+	for j := 1; j < len(ys)+1; j++ {
+		for i := 1; i < stride; i++ {
+			k := j*stride + i
+			cover[k] += cover[k-1] + cover[k-stride] - cover[k-stride-1]
 		}
 	}
-	covered := func(x, y geom.Coord) bool {
-		// Is the open unit quadrant with corner (x, y) extending to the
-		// lower-left covered? Test the point (x-ε, y-ε) via closed rect
-		// inclusion of a representative point.
-		for _, r := range rects {
-			if x > r.X0 && x <= r.X1 && y > r.Y0 && y <= r.Y1 {
-				return true
-			}
-		}
-		return false
-	}
-	for p := range cand {
-		// Quadrants around p: ll, lr, ul, ur.
-		ll := covered(p.X, p.Y)
-		lr := covered(p.X+1, p.Y)
-		ul := covered(p.X, p.Y+1)
-		ur := covered(p.X+1, p.Y+1)
-		n := b2i(ll) + b2i(lr) + b2i(ul) + b2i(ur)
-		switch n {
-		case 1, 3:
-			corners++
-		case 2:
-			if (ll && ur && !lr && !ul) || (lr && ul && !ll && !ur) {
-				touches++
+	// Vertex (xs[i-1], ys[j-1]) has its lower-left quadrant at (i-1, j-1)
+	// of cover and its upper-right one at (i, j).
+	for j := 1; j <= len(ys); j++ {
+		for i := 1; i <= len(xs); i++ {
+			ll := cover[j*stride+i-stride-1] > 0
+			lr := cover[j*stride+i-stride] > 0
+			ul := cover[j*stride+i-1] > 0
+			ur := cover[j*stride+i] > 0
+			switch b2i(ll) + b2i(lr) + b2i(ul) + b2i(ur) {
+			case 1, 3:
+				corners++
+			case 2:
+				if ll == ur {
+					touches++
+				}
 			}
 		}
 	}
@@ -123,29 +144,20 @@ func b2i(b bool) int {
 // the horizontal tiling's block tiles give local x-dimensions and its
 // blocked-on-both-sides space tiles give x-spacings; the vertical tiling
 // gives the y counterparts.
-func minDistances(rects []geom.Rect, window geom.Rect) (internal, external geom.Coord) {
+func minDistances(gh, gv *mtcg.Graph) (internal, external geom.Coord) {
 	internal = math.MaxInt32
 	external = math.MaxInt32
-	for _, horizontal := range []bool{true, false} {
-		t := mtcg.Build(rects, window, horizontal)
-		g := mtcg.NewGraph(t)
+	for _, g := range [2]*mtcg.Graph{gh, gv} {
+		t := g.T
 		dim := func(r geom.Rect) geom.Coord {
-			if horizontal {
+			if t.Horizontal {
 				return r.W()
 			}
 			return r.H()
 		}
-		adj := g.Right
-		if !horizontal {
-			adj = g.Up
-		}
-		hasBlock := func(idx []int) bool {
-			for _, i := range idx {
-				if t.Tiles[i].Block {
-					return true
-				}
-			}
-			return false
+		fwd, back := g.Right, g.Left
+		if !t.Horizontal {
+			fwd, back = g.Up, g.Down
 		}
 		for i, tile := range t.Tiles {
 			if tile.Block {
@@ -156,7 +168,7 @@ func minDistances(rects []geom.Rect, window geom.Rect) (internal, external geom.
 			}
 			// Space tile: a spacing only when blocks face each other
 			// across it.
-			if hasBlock(adj[i]) && hasBlock(incoming(adj, i)) {
+			if hasBlock(t, fwd[i]) && hasBlock(t, back[i]) {
 				if d := dim(tile.R); d < external {
 					external = d
 				}

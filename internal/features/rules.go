@@ -63,11 +63,20 @@ type RuleRect struct {
 // window, in the window's own frame. Callers wanting orientation-stable
 // features canonicalize the pattern first (see Extractor).
 func Extract(rects []geom.Rect, window geom.Rect) []RuleRect {
-	h := mtcg.Build(rects, window, true)
-	v := mtcg.Build(rects, window, false)
-	gh := mtcg.NewGraph(h)
-	gv := mtcg.NewGraph(v)
+	return extractRules(buildGraphs(rects, window))
+}
 
+// buildGraphs builds the horizontal and vertical MTCG tilings of the
+// geometry within window and their constraint graphs: everything the rules
+// and the nontopological distances read.
+func buildGraphs(rects []geom.Rect, window geom.Rect) (gh, gv *mtcg.Graph) {
+	return mtcg.NewGraph(mtcg.Build(rects, window, true)), mtcg.NewGraph(mtcg.Build(rects, window, false))
+}
+
+// extractRules reads the rule rectangles off a pattern's horizontal and
+// vertical graphs, in the frame of their tilings' window.
+func extractRules(gh, gv *mtcg.Graph) []RuleRect {
+	h, v, window := gh.T, gv.T, gh.T.Window
 	var out []RuleRect
 	out = appendInternal(out, h, gh, window)
 	out = appendInternal(out, v, gv, window)
@@ -97,38 +106,14 @@ func appendInternal(out []RuleRect, t mtcg.Tiling, g *mtcg.Graph, window geom.Re
 		if !tile.Block || t.BoundaryEdges(i) > 1 {
 			continue
 		}
-		ok := true
 		// In the strip direction, all incoming and outgoing neighbours must
 		// be space vertices.
-		var neigh []int
-		if t.Horizontal {
-			neigh = append(neigh, g.Right[i]...)
-			neigh = append(neigh, incoming(g.Right, i)...)
-		} else {
-			neigh = append(neigh, g.Up[i]...)
-			neigh = append(neigh, incoming(g.Up, i)...)
+		fwd, back := g.Right[i], g.Left[i]
+		if !t.Horizontal {
+			fwd, back = g.Up[i], g.Down[i]
 		}
-		for _, j := range neigh {
-			if t.Tiles[j].Block {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if !hasBlock(t, fwd) && !hasBlock(t, back) {
 			out = append(out, ruleFromRect(Internal, tile.R, window))
-		}
-	}
-	return out
-}
-
-// incoming lists tiles whose adjacency set contains i.
-func incoming(adj [][]int, i int) []int {
-	var out []int
-	for j, set := range adj {
-		for _, k := range set {
-			if k == i {
-				out = append(out, j)
-			}
 		}
 	}
 	return out
@@ -142,7 +127,7 @@ func appendExternalH(out []RuleRect, t mtcg.Tiling, g *mtcg.Graph, window geom.R
 			continue
 		}
 		right := blocksOf(t, g.Right[i])
-		left := blocksOf(t, incoming(g.Right, i))
+		left := blocksOf(t, g.Left[i])
 		if len(right) == 1 && len(left) == 1 {
 			out = append(out, ruleFromRect(External, tile.R, window))
 		}
@@ -158,12 +143,21 @@ func appendExternalV(out []RuleRect, t mtcg.Tiling, g *mtcg.Graph, window geom.R
 			continue
 		}
 		up := blocksOf(t, g.Up[i])
-		down := blocksOf(t, incoming(g.Up, i))
+		down := blocksOf(t, g.Down[i])
 		if len(up) == 1 && len(down) == 1 {
 			out = append(out, ruleFromRect(External, tile.R, window))
 		}
 	}
 	return out
+}
+
+func hasBlock(t mtcg.Tiling, idx []int) bool {
+	for _, i := range idx {
+		if t.Tiles[i].Block {
+			return true
+		}
+	}
+	return false
 }
 
 func blocksOf(t mtcg.Tiling, idx []int) []int {

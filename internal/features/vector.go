@@ -26,7 +26,7 @@ const SlotDim = 5
 // NewExtractor builds an extractor from the representative pattern of a
 // cluster.
 func NewExtractor(repr []geom.Rect, window geom.Rect) *Extractor {
-	canon, cw := canonicalize(repr, window)
+	canon, cw, _ := canonicalize(repr, window)
 	return &Extractor{slots: Extract(canon, cw)}
 }
 
@@ -47,8 +47,9 @@ func (e *Extractor) Dim() int { return len(e.slots)*SlotDim + NonTopoDim }
 func (e *Extractor) NumSlots() int { return len(e.slots) }
 
 // canonicalize translates the pattern to the origin and applies its
-// canonical orientation, returning the transformed rects and window.
-func canonicalize(rects []geom.Rect, window geom.Rect) ([]geom.Rect, geom.Rect) {
+// canonical orientation, returning the transformed rects and window and the
+// pattern's canonical topology key.
+func canonicalize(rects []geom.Rect, window geom.Rect) ([]geom.Rect, geom.Rect, string) {
 	side := window.W()
 	if window.H() > side {
 		side = window.H()
@@ -61,8 +62,8 @@ func canonicalize(rects []geom.Rect, window geom.Rect) ([]geom.Rect, geom.Rect) 
 		}
 	}
 	w := geom.Rect{X0: 0, Y0: 0, X1: window.W(), Y1: window.H()}
-	o := topo.CanonicalOrientation(norm, w)
-	return o.ApplyToRects(norm, side), o.ApplyToRect(w, side)
+	key, o := topo.Canonicalize(norm, w)
+	return o.ApplyToRects(norm, side), o.ApplyToRect(w, side), key
 }
 
 // Extracted is a pattern's canonicalized feature material: the rule
@@ -77,10 +78,18 @@ type Extracted struct {
 // ExtractAll canonicalizes a pattern and extracts its rules and
 // nontopological features once.
 func ExtractAll(rects []geom.Rect, window geom.Rect) Extracted {
-	canon, cw := canonicalize(rects, window)
+	canon, cw, _ := canonicalize(rects, window)
+	return extractCanonical(canon, cw)
+}
+
+// extractCanonical extracts the rules and nontopological features of a
+// canonicalized pattern (its rects lie inside cw) from one pair of MTCG
+// tilings and graphs.
+func extractCanonical(canon []geom.Rect, cw geom.Rect) Extracted {
+	gh, gv := buildGraphs(canon, cw)
 	return Extracted{
-		Rules: Extract(canon, cw),
-		NT:    ComputeNonTopo(canon, cw),
+		Rules: extractRules(gh, gv),
+		NT:    nonTopo(canon, cw, gh, gv),
 	}
 }
 
@@ -89,24 +98,8 @@ func ExtractAll(rects []geom.Rect, window geom.Rect) Extracted {
 // the key (for kernel routing) and the extracted features; computing them
 // separately would canonicalize the pattern twice.
 func ExtractAllCanonical(rects []geom.Rect, window geom.Rect) (Extracted, string) {
-	side := window.W()
-	if window.H() > side {
-		side = window.H()
-	}
-	norm := make([]geom.Rect, 0, len(rects))
-	for _, r := range rects {
-		c := r.Intersect(window)
-		if !c.Empty() {
-			norm = append(norm, c.Translate(-window.X0, -window.Y0))
-		}
-	}
-	w := geom.Rect{X0: 0, Y0: 0, X1: window.W(), Y1: window.H()}
-	key, o := topo.Canonicalize(norm, w)
-	canon, cw := o.ApplyToRects(norm, side), o.ApplyToRect(w, side)
-	return Extracted{
-		Rules: Extract(canon, cw),
-		NT:    ComputeNonTopo(canon, cw),
-	}, key
+	canon, cw, key := canonicalize(rects, window)
+	return extractCanonical(canon, cw), key
 }
 
 // Vector extracts the feature vector of a pattern in this extractor's slot

@@ -25,8 +25,20 @@ type Grid struct {
 // tens of megabytes of cell headers.
 const MaxGridCells = 1 << 22
 
+// A Grid over n rectangles has at most max(cellsPerRect*n, minGridCells)
+// cells (and never more than MaxGridCells), so a few rectangles far apart
+// index into a few kilobytes of cell headers instead of megabytes. Dense
+// layouts and clip-core sets stay well under the bound (at most about 8
+// cells per rectangle on the benchmark layouts), so it changes no grid
+// there.
+const (
+	cellsPerRect = 16
+	minGridCells = 1 << 12
+)
+
 // NewGrid indexes rects. The cell size is derived from the average rectangle
-// dimension so that typical rectangles span only a few cells. Empty
+// dimension so that typical rectangles span only a few cells, and doubled
+// while the grid has more cells than its bound (see cellsPerRect). Empty
 // rectangles overlap nothing, so they are neither indexed nor counted.
 // Sizes are computed in int64, so no extent or cell side wraps.
 func NewGrid(rects []geom.Rect) *Grid {
@@ -47,10 +59,11 @@ func NewGrid(rects []geom.Rect) *Grid {
 	w := int64(g.bounds.X1) - int64(g.bounds.X0)
 	h := int64(g.bounds.Y1) - int64(g.bounds.Y0)
 	// Cell side: 4x the average dimension, doubled until the grid has at
-	// most MaxGridCells cells; a side too large to double is one cell.
+	// most maxCells cells; a side too large to double is one cell.
 	cell := min(max(sumDim/(2*n), 1)*4, math.MaxInt32)
+	maxCells := min(max(cellsPerRect*n, minGridCells), MaxGridCells)
 	for {
-		if nx, ny := w/cell+1, h/cell+1; nx*ny <= MaxGridCells {
+		if nx, ny := w/cell+1, h/cell+1; nx*ny <= maxCells {
 			g.nx, g.ny = int(nx), int(ny)
 			break
 		}

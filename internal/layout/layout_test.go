@@ -3,6 +3,7 @@ package layout
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -48,38 +49,81 @@ func TestLayoutAddPolygon(t *testing.T) {
 
 func TestQueryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	l := New("t")
-	var all []geom.Rect
+	var dense []geom.Rect
 	for i := 0; i < 500; i++ {
 		x := geom.Coord(rng.Intn(10000))
 		y := geom.Coord(rng.Intn(10000))
-		r := geom.R(x, y, x+geom.Coord(10+rng.Intn(400)), y+geom.Coord(10+rng.Intn(400)))
-		l.AddRect(1, r)
-		all = append(all, r)
+		dense = append(dense, geom.R(x, y, x+geom.Coord(10+rng.Intn(400)), y+geom.Coord(10+rng.Intn(400))))
 	}
-	g := NewGrid(all)
-	for trial := 0; trial < 100; trial++ {
+	denseWindow := func() geom.Rect {
 		x := geom.Coord(rng.Intn(10000) - 500)
 		y := geom.Coord(rng.Intn(10000) - 500)
-		w := geom.R(x, y, x+geom.Coord(rng.Intn(2000)), y+geom.Coord(rng.Intn(2000)))
-		got := l.Query(1, w, nil)
-		var want []geom.Rect
-		var wantIdx []int
-		for i, r := range all {
-			if r.Overlaps(w) {
-				want = append(want, r)
-				wantIdx = append(wantIdx, i)
+		return geom.R(x, y, x+geom.Coord(rng.Intn(2000)), y+geom.Coord(rng.Intn(2000)))
+	}
+	// Two cores 10^8 dbu apart: the grid's cell count is bounded by the
+	// rectangle count, so its cells are far wider than the rectangles.
+	sparse := sparseCores()
+	sparseWindow := func() geom.Rect {
+		c := sparse[rng.Intn(len(sparse))]
+		if rng.Intn(4) == 0 { // anywhere in the extent, usually empty
+			c = geom.R(0, 0, 100000000, 100000000)
+		}
+		x := c.X0 + geom.Coord(rng.Int63n(int64(c.W())+1)) - 1500
+		y := c.Y0 + geom.Coord(rng.Int63n(int64(c.H())+1)) - 1500
+		return geom.R(x, y, x+geom.Coord(rng.Intn(3000)), y+geom.Coord(rng.Intn(3000)))
+	}
+	for _, tc := range []struct {
+		rects  []geom.Rect
+		window func() geom.Rect
+	}{{dense, denseWindow}, {sparse, sparseWindow}} {
+		l := New("t")
+		for _, r := range tc.rects {
+			l.AddRect(1, r)
+		}
+		g := NewGrid(tc.rects)
+		for trial := 0; trial < 100; trial++ {
+			w := tc.window()
+			got := l.Query(1, w, nil)
+			var want []geom.Rect
+			var wantIdx []int
+			for i, r := range tc.rects {
+				if r.Overlaps(w) {
+					want = append(want, r)
+					wantIdx = append(wantIdx, i)
+				}
+			}
+			if !sameRectSet(got, want) {
+				t.Fatalf("trial %d window %v: got %d rects, want %d", trial, w, len(got), len(want))
+			}
+			// Indices names the same rectangles by position, each once.
+			gotIdx := g.Indices(w, nil)
+			sort.Ints(gotIdx)
+			if !slices.Equal(gotIdx, wantIdx) {
+				t.Fatalf("trial %d window %v: Indices = %v, want %v", trial, w, gotIdx, wantIdx)
 			}
 		}
-		if !sameRectSet(got, want) {
-			t.Fatalf("trial %d window %v: got %d rects, want %d", trial, w, len(got), len(want))
-		}
-		// Indices names the same rectangles by position, each once.
-		gotIdx := g.Indices(w, nil)
-		sort.Ints(gotIdx)
-		if !slices.Equal(gotIdx, wantIdx) {
-			t.Fatalf("trial %d window %v: Indices = %v, want %v", trial, w, gotIdx, wantIdx)
-		}
+	}
+}
+
+// sparseCores is two 1,200-dbu clip cores 10^8 dbu apart on the diagonal.
+func sparseCores() []geom.Rect {
+	return []geom.Rect{geom.R(0, 0, 1200, 1200), geom.R(100000000-1200, 100000000-1200, 100000000, 100000000)}
+}
+
+// TestSparseGridStaysSmall pins that indexing a few rectangles far apart
+// allocates kilobytes, not the tens of megabytes of empty cells a grid
+// bounded only by MaxGridCells took.
+func TestSparseGridStaysSmall(t *testing.T) {
+	rects := sparseCores()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGrid(rects)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewGrid over two far-apart cores allocated %d bytes, want under 1 MiB", got)
+	}
+	if got := g.Indices(rects[1], nil); !slices.Equal(got, []int{1}) {
+		t.Fatalf("Indices(%v) = %v, want [1]", rects[1], got)
 	}
 }
 

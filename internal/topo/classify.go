@@ -177,8 +177,9 @@ type Scratch struct {
 
 // CanonicalDensityInto is CanonicalDensity writing the grid into d, reusing
 // d.D and (when s is non-nil) s's rect buffers. Canonicalization itself
-// still allocates internally (string keys are built per orientation); the
-// Into form removes the per-call grid and rect-slice garbage.
+// still allocates internally (its slab codes, one key buffer and the
+// returned key); the Into form removes the per-call grid and rect-slice
+// garbage.
 func CanonicalDensityInto(d *Density, s *Scratch, rects []geom.Rect, window geom.Rect, n int) {
 	_, bestO := Canonicalize(rects, window)
 	orientedDensityInto(d, s, rects, window, bestO, n)
