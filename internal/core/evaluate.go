@@ -10,6 +10,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
+	"hotspot/internal/scan"
 	"hotspot/internal/topo"
 )
 
@@ -39,9 +40,13 @@ type Report struct {
 // multiple-kernel evaluation, feedback-kernel filtering, and redundant clip
 // removal. It is safe to call concurrently from multiple goroutines, and
 // concurrently with SetBias/SetWorkers (each call snapshots the
-// configuration once at entry).
+// configuration once at entry). A worker panic is raised again on the
+// caller's goroutine as its *scan.PanicError.
 func (d *Detector) Detect(l *layout.Layout) Report {
-	rep, _ := d.DetectContext(context.Background(), l)
+	rep, err := d.DetectContext(context.Background(), l)
+	if p, ok := err.(*scan.PanicError); ok {
+		panic(p)
+	}
 	return rep
 }
 
@@ -54,12 +59,22 @@ func (d *Detector) Detect(l *layout.Layout) Report {
 // accumulated so far is returned together with the context's error;
 // callers must treat a non-nil error as "incomplete" regardless of the
 // report's contents. A layout too close to the int32 coordinate limits is
-// refused with ErrCoordRange before any work. The concurrency guarantees
-// of Detect apply.
-func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (Report, error) {
+// refused with ErrCoordRange before any work. A panic in an evaluation
+// worker ends the call with its *scan.PanicError, so a server fails the
+// one request; any other panic propagates. The concurrency guarantees of
+// Detect apply.
+func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (rep Report, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p, ok := v.(*scan.PanicError)
+			if !ok {
+				panic(v)
+			}
+			err = p
+		}
+	}()
 	start := time.Now()
 	cfg := d.config()
-	var rep Report
 	tel := &rep.Telemetry
 
 	// Anchor the snap-dedup grid on the geometry bounds: the report is

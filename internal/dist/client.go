@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"hotspot/internal/core"
@@ -24,19 +25,21 @@ var errBackendDown = errors.New("dist: backend down")
 type failClass int
 
 const (
-	// failTransient retries in place with backoff: 429 backpressure, 5xx,
-	// or a per-attempt timeout. The backend is alive, just not ready.
+	// failTransient retries in place with backoff: 429 backpressure, 5xx
+	// other than a worker panic, or a per-attempt timeout. The backend is
+	// alive, just not ready.
 	failTransient failClass = iota
 	// failConn retires the backend immediately: connection refused/reset,
 	// a mid-stream drop, or a torn response body. Retrying a dying
 	// process in place only burns the retry budget.
 	failConn
 	// failFatal fails the whole scan: the backend understood the request
-	// and rejected it (4xx), or answered with candidates outside the shard
-	// window, which no amount of retrying fixes — the coordinator and
-	// backend disagree about the contract. A backend that breaks the
-	// window contract still answers /readyz, so retiring and reviving it
-	// would only loop.
+	// and rejected it (4xx), a worker panicked evaluating it (500 with a
+	// scan.PanicPrefix message: the same shard panics again on any
+	// backend), or it answered with candidates outside the shard window,
+	// which no amount of retrying fixes — the coordinator and backend
+	// disagree about the contract. Such a backend still answers /readyz,
+	// so retiring and reviving it would only loop.
 	failFatal
 )
 
@@ -145,6 +148,8 @@ func (c *coordinator) postShard(ctx context.Context, b *backend, sh geom.Rect, r
 				retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 				err:        herr,
 			}
+		case resp.StatusCode == http.StatusInternalServerError && strings.HasPrefix(eb.Error, scan.PanicPrefix):
+			return nil, zero, &shardError{class: failFatal, status: resp.StatusCode, err: herr}
 		case resp.StatusCode >= 500:
 			return nil, zero, &shardError{class: failTransient, status: resp.StatusCode, err: herr}
 		default:

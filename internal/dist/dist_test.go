@@ -545,6 +545,51 @@ func TestLyingBackendRejected(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicFailsScan: a shard whose evaluation panics answers 500
+// with a scan.PanicPrefix message on every backend while each stays ready,
+// so the scan fails at once with the panic instead of retrying, retiring,
+// reviving and re-dispatching the shard forever.
+func TestWorkerPanicFailsScan(t *testing.T) {
+	b, det, _ := fixture(t)
+	real := newBackendHandler(t, det)
+	var posts atomic.Int32
+	panicking := func() *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/scan" {
+				real.ServeHTTP(w, r)
+				return
+			}
+			posts.Add(1)
+			http.Error(w, `{"error":"`+scan.PanicPrefix+`boom"}`, http.StatusInternalServerError)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	a, c := panicking(), panicking()
+
+	done := make(chan error, 1)
+	var st Stats
+	go func() {
+		var err error
+		_, st, err = Scan(context.Background(), det, b.Test, Options{
+			Backends: []string{a.URL, c.URL}, Shards: 4, Tile: fixTile,
+			sleep: (&instantSleep{}).sleep,
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), scan.PanicPrefix+"boom") {
+			t.Fatalf("err = %v, want the backend's worker panic", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Scan did not return after every backend answered a worker panic")
+	}
+	if st.Retries != 0 || st.Redispatches != 0 || posts.Load() > 2 {
+		t.Fatalf("%d shard posts, %d retries, %d redispatches; want one post per backend at most and no retry", posts.Load(), st.Retries, st.Redispatches)
+	}
+}
+
 // TestShardBands pins the partitioner: contiguous tile-row-aligned bands
 // covering the bounds exactly, balanced to within one row.
 func TestShardBands(t *testing.T) {
