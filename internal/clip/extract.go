@@ -3,13 +3,13 @@ package clip
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
 	"hotspot/internal/topo"
+	"hotspot/internal/workerpanic"
 )
 
 // Requirements are the user-specified polygon-distribution filters of
@@ -182,7 +182,9 @@ const ctxCheckPieces = 256
 
 // extractParallel splits the layer's pieces, numbered in dissection order
 // (rectangle by rectangle, each row-major from its bottom-left corner),
-// into one contiguous range per worker.
+// into one contiguous range per worker. A panic in a worker is raised
+// again on the caller's goroutine as a *workerpanic.Error once every
+// worker has returned.
 func extractParallel(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) ([]Candidate, error) {
 	rects := l.Rects(layer)
 	// ends[i] counts the pieces of rects[:i+1].
@@ -199,15 +201,13 @@ func extractParallel(ctx context.Context, l *layout.Layout, layer layout.Layer, 
 	parts := (total + chunk - 1) / chunk
 	results := make([][]Keyed, parts)
 	errs := make([]error, parts)
-	var wg sync.WaitGroup
+	var g workerpanic.Group
 	for slot := int64(0); slot < parts; slot++ {
-		wg.Add(1)
-		go func(slot int64) {
-			defer wg.Done()
+		g.Go(func() {
 			results[slot], errs[slot] = keyPieces(ctx, l, layer, spec, req, rects, ends, slot*chunk, min((slot+1)*chunk, total))
-		}(slot)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	var kcs []Keyed
 	for slot, cs := range results {
 		if errs[slot] != nil {

@@ -2,12 +2,11 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
-	"hotspot/internal/scan"
+	"hotspot/internal/workerpanic"
 )
 
 // detectChunk bounds how many candidate clips DetectContext materializes
@@ -30,8 +29,8 @@ type batchVerdict struct {
 // parallelFor runs f(0..n-1) across up to `workers` goroutines. With one
 // worker (the ours_nopara mode) it degrades to a plain loop. A panic in f
 // stops the workers from taking more items and, once they have returned,
-// panics again on the caller's goroutine with a *scan.PanicError carrying
-// the first worker's panic value and stack.
+// panics again on the caller's goroutine with a *workerpanic.Error
+// carrying the first worker's panic value and stack.
 func parallelFor(n, workers int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -43,31 +42,19 @@ func parallelFor(n, workers int, f func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[scan.PanicError]
+	var g workerpanic.Group
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicked.CompareAndSwap(nil, scan.Recovered(v))
-					next.Store(int64(n))
-				}
-			}()
-			for {
+		g.Go(func() {
+			for !g.Panicked() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				f(i)
 			}
-		}()
+		})
 	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
+	g.Wait()
 }
 
 // basicOnly reports whether the detector is the single-huge-kernel "Basic"

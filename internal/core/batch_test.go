@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"hotspot/internal/clip"
-	"hotspot/internal/scan"
+	"hotspot/internal/workerpanic"
 )
 
 // TestClassifyBatchMatchesScalar pins the batched evaluation path to the
@@ -70,7 +70,7 @@ func b0(t *testing.T) *clip.Pattern {
 
 // TestParallelForRepanicsOnCaller: a panic in one worker surfaces on the
 // calling goroutine, where a server handler (or the test) can see it, as a
-// *scan.PanicError with the worker's value and stack.
+// *workerpanic.Error with the worker's value and stack.
 func TestParallelForRepanicsOnCaller(t *testing.T) {
 	got := func() (v any) {
 		defer func() { v = recover() }()
@@ -81,15 +81,15 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 		})
 		return nil
 	}()
-	p, ok := got.(*scan.PanicError)
+	p, ok := got.(*workerpanic.Error)
 	if !ok || p.Value != "item boom" || len(p.Stack) == 0 {
-		t.Fatalf("recovered %#v, want a *scan.PanicError of \"item boom\" with its stack", got)
+		t.Fatalf("recovered %#v, want a *workerpanic.Error of \"item boom\" with its stack", got)
 	}
 }
 
 // TestDetectContextReturnsWorkerPanic: a panic in an evaluation worker
 // (here from a nil kernel, standing in for a bug) ends DetectContext, which
-// serves /v1/scan's non-tiled route, with the *scan.PanicError instead of
+// serves /v1/scan's non-tiled route, with the *workerpanic.Error instead of
 // a panic on the caller; Detect, which has no error to return, raises it
 // again.
 func TestDetectContextReturnsWorkerPanic(t *testing.T) {
@@ -98,16 +98,16 @@ func TestDetectContextReturnsWorkerPanic(t *testing.T) {
 	d.SetWorkers(4)
 	d.kernels[0] = nil
 	_, err := d.DetectContext(context.Background(), l)
-	var p *scan.PanicError
+	var p *workerpanic.Error
 	if !errors.As(err, &p) || len(p.Stack) == 0 {
-		t.Fatalf("DetectContext: err = %v, want a *scan.PanicError with the worker's stack", err)
+		t.Fatalf("DetectContext: err = %v, want a *workerpanic.Error with the worker's stack", err)
 	}
 	got := func() (v any) {
 		defer func() { v = recover() }()
 		d.Detect(l)
 		return nil
 	}()
-	if _, ok := got.(*scan.PanicError); !ok {
-		t.Fatalf("Detect: recovered %v, want a *scan.PanicError", got)
+	if _, ok := got.(*workerpanic.Error); !ok {
+		t.Fatalf("Detect: recovered %v, want a *workerpanic.Error", got)
 	}
 }

@@ -37,6 +37,8 @@ type Detector struct {
 	// memo is the pre-screen's verdict cache (see prescreen.go), swapped
 	// atomically whenever the evaluation configuration changes.
 	memo atomic.Pointer[verdictMemo]
+	// digest memoizes ModelDigest (see persist.go).
+	digest atomic.Pointer[digestMemo]
 }
 
 // config returns a snapshot of the detector's configuration, safe against

@@ -10,8 +10,8 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
-	"hotspot/internal/scan"
 	"hotspot/internal/topo"
+	"hotspot/internal/workerpanic"
 )
 
 // Report is the outcome of evaluating a testing layout.
@@ -41,10 +41,10 @@ type Report struct {
 // removal. It is safe to call concurrently from multiple goroutines, and
 // concurrently with SetBias/SetWorkers (each call snapshots the
 // configuration once at entry). A worker panic is raised again on the
-// caller's goroutine as its *scan.PanicError.
+// caller's goroutine as its *workerpanic.Error.
 func (d *Detector) Detect(l *layout.Layout) Report {
 	rep, err := d.DetectContext(context.Background(), l)
-	if p, ok := err.(*scan.PanicError); ok {
+	if p, ok := err.(*workerpanic.Error); ok {
 		panic(p)
 	}
 	return rep
@@ -60,13 +60,13 @@ func (d *Detector) Detect(l *layout.Layout) Report {
 // callers must treat a non-nil error as "incomplete" regardless of the
 // report's contents. A layout too close to the int32 coordinate limits is
 // refused with ErrCoordRange before any work. A panic in an evaluation
-// worker ends the call with its *scan.PanicError, so a server fails the
+// worker ends the call with its *workerpanic.Error, so a server fails the
 // one request; any other panic propagates. The concurrency guarantees of
 // Detect apply.
 func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (rep Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p, ok := v.(*scan.PanicError)
+			p, ok := v.(*workerpanic.Error)
 			if !ok {
 				panic(v)
 			}

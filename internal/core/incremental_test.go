@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"hotspot/internal/geom"
@@ -222,6 +223,51 @@ func TestModelDigestStability(t *testing.T) {
 	d.cfg.Requirements.SnapGrid = 300
 	if d.ModelDigest() == digest {
 		t.Fatal("digest ignored a dedup grid change that can flip verdicts")
+	}
+}
+
+// The memoized digest follows the bias while SetBias races ModelDigest:
+// every concurrent call returns the digest of one of the two biases, and
+// setting the first bias back restores the first digest.
+func TestModelDigestConcurrentSetBias(t *testing.T) {
+	d := trainedDetector(t, DefaultConfig())
+	bias := d.Config().Bias
+	first := d.ModelDigest()
+	d.SetBias(bias + 0.5)
+	moved := d.ModelDigest()
+	if moved == first {
+		t.Fatal("digest ignored a bias change")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := d.ModelDigest(); got != first && got != moved {
+					t.Errorf("concurrent digest %s is neither bias's (%s, %s)", got, first, moved)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			d.SetBias(bias + 0.5*float64(i%2))
+		}
+	}()
+	wg.Wait()
+
+	d.SetBias(bias)
+	if got := d.ModelDigest(); got != first {
+		t.Fatalf("digest %s after restoring the bias, want %s", got, first)
+	}
+	d.SetBias(bias + 0.5)
+	if got := d.ModelDigest(); got != moved {
+		t.Fatalf("digest %s after moving the bias again, want %s", got, moved)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -66,14 +67,15 @@ func (p persistedSVM) model() *svm.Model {
 	return &svm.Model{SVs: p.SVs, Coef: p.Coef, Rho: p.Rho, Gamma: p.Gamma}
 }
 
-// persisted assembles the detector's complete serializable state — the
-// document Save writes and ModelDigest hashes.
-func (d *Detector) persisted() persistedModel {
+// persisted assembles the detector's complete serializable state under the
+// given configuration and selection — the document Save writes and
+// ModelDigest hashes.
+func (d *Detector) persisted(cfg Config, sel *Selection) persistedModel {
 	pm := persistedModel{
 		Version:   modelFormatVersion,
-		Config:    d.config(),
+		Config:    cfg,
 		Stats:     d.stats,
-		Selection: d.Selection(),
+		Selection: sel,
 	}
 	for _, k := range d.kernels {
 		pm.Kernels = append(pm.Kernels, persistedKernel{
@@ -92,11 +94,26 @@ func (d *Detector) persisted() persistedModel {
 	return pm
 }
 
+// settings snapshots the configuration and the selection together, so a
+// concurrent SetBias or SetSelection cannot tear the pair.
+func (d *Detector) settings() (Config, *Selection) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.cfg, d.selection
+}
+
 // Save serializes the trained detector. The model is self-contained: Load
 // restores a detector that classifies identically without retraining.
 func (d *Detector) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(d.persisted())
+	return enc.Encode(d.persisted(d.settings()))
+}
+
+// digestMemo is the last digest ModelDigest computed and the normalized
+// configuration and selection it was computed under, marshaled.
+type digestMemo struct {
+	key    []byte
+	digest string
 }
 
 // ModelDigest returns a stable hex digest of everything that can change a
@@ -114,19 +131,39 @@ func (d *Detector) Save(w io.Writer) error {
 // frame), and the prescreen toggle (the verdict memo is exact — verified
 // by TestPrescreenCascadeExact). Obs and Progress are excluded from the
 // serialized form already.
+//
+// The digest hashes the whole marshaled model, megabytes for a trained
+// detector, but only the configuration and the selection can change once
+// Train or Load returns. So the result is memoized under those two,
+// marshaled (a few hundred bytes): a call whose normalized configuration
+// and selection match the last one's returns its digest without hashing
+// the model again. Safe for concurrent use.
 func (d *Detector) ModelDigest() string {
-	pm := d.persisted()
-	pm.Config.Workers = 0
-	pm.Config.Requirements.SnapBase = geom.Point{}
-	pm.Config.DisablePrescreen = false
-	b, err := json.Marshal(pm)
+	cfg, sel := d.settings()
+	cfg.Workers = 0
+	cfg.Requirements.SnapBase = geom.Point{}
+	cfg.DisablePrescreen = false
+	key := mustMarshal(struct {
+		Config    Config
+		Selection *Selection
+	}{cfg, sel})
+	if m := d.digest.Load(); m != nil && bytes.Equal(m.key, key) {
+		return m.digest
+	}
+	sum := sha256.Sum256(mustMarshal(d.persisted(cfg, sel)))
+	digest := hex.EncodeToString(sum[:])
+	d.digest.Store(&digestMemo{key: key, digest: digest})
+	return digest
+}
+
+// mustMarshal marshals the digest inputs, which are plain structs and
+// slices: an error is a programming bug, not a runtime condition.
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// persistedModel marshals from plain structs and slices; an error
-		// here is a programming bug, not a runtime condition.
 		panic(fmt.Sprintf("core: marshaling model digest: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
 // ErrInvalidModel reports a model document that decodes but cannot be

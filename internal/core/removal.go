@@ -43,8 +43,8 @@ func sortCores(cores []geom.Rect) {
 // mergeAndReframe groups cores into merging regions (union-find on core
 // overlap >= MergeMinOverlap of a core area) and reframes regions holding
 // more than ReframeThreshold cores onto a ReframeSep-pitch grid covering
-// the region's bounding box, guaranteeing any actual core overlapping the
-// region still overlaps a reframed core (l_s < l_c).
+// the region's bounding box (see reframe), guaranteeing any actual core
+// overlapping the region still overlaps a reframed core (l_s < l_c).
 func mergeAndReframe(cores []geom.Rect, cfg Config) []geom.Rect {
 	n := len(cores)
 	if n == 0 {
@@ -122,30 +122,84 @@ func mergeAndReframe(cores []geom.Rect, cfg Config) []geom.Rect {
 			}
 			continue
 		}
-		// Reframe: tile the region bounding box with cores at pitch sep.
-		bb := geom.Rect{}
-		for _, m := range members {
-			bb = bb.Union(cores[m])
-		}
-		for y := bb.Y0; ; y += sep {
-			if y+side > bb.Y1 {
-				y = bb.Y1 - side
-			}
-			for x := bb.X0; ; x += sep {
-				if x+side > bb.X1 {
-					x = bb.X1 - side
-				}
+		out = reframe(out, cores, members, sep, side)
+	}
+	return dedupCores(out)
+}
+
+// reframeMaxRatio bounds a reframing grid by its group: a grid of more
+// than reframeMaxRatio cores per member keeps only the cores that overlap
+// a member. A sparse group, such as a diagonal chain of cores, would
+// otherwise tile its bounding box, whose area grows with the square of
+// the member count. The benchmark layouts' grids stay under 2.4 cores per
+// member, so their reports keep every grid core.
+const reframeMaxRatio = 8
+
+// reframe appends the reframing of one merge group to out: cores of side
+// `side` at pitch sep tiling the group's bounding box row-major, the last
+// row and column flush with its high edges. When that grid holds more
+// than reframeMaxRatio cores per member, only the grid cores overlapping
+// a member are appended, in the same row-major order. Every point of a
+// member still lies in a grid core, and that core overlaps the member, so
+// §III-F's coverage guarantee holds. Either way the work grows with the
+// grid's rows and columns and the cores appended, not with its area.
+func reframe(out, cores []geom.Rect, members []int, sep, side geom.Coord) []geom.Rect {
+	bb := geom.Rect{}
+	for _, m := range members {
+		bb = bb.Union(cores[m])
+	}
+	xs, ys := gridSteps(bb.X0, bb.X1, sep, side), gridSteps(bb.Y0, bb.Y1, sep, side)
+	if int64(len(xs))*int64(len(ys)) <= reframeMaxRatio*int64(len(members)) {
+		for _, y := range ys {
+			for _, x := range xs {
 				out = append(out, geom.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side})
-				if x == bb.X1-side {
-					break
-				}
 			}
-			if y == bb.Y1-side {
-				break
+		}
+		return out
+	}
+	// The grid cores overlapping member m are those whose x step lies in
+	// (m.X0-side, m.X1) and whose y step lies in (m.Y0-side, m.Y1): two
+	// binary searches per axis, then every pair, keyed row-major.
+	var keep []int64
+	for _, m := range members {
+		c := cores[m]
+		x0, x1 := stepsOverlapping(xs, c.X0, c.X1, side)
+		y0, y1 := stepsOverlapping(ys, c.Y0, c.Y1, side)
+		for j := y0; j < y1; j++ {
+			for i := x0; i < x1; i++ {
+				keep = append(keep, int64(j)*int64(len(xs))+int64(i))
 			}
 		}
 	}
-	return dedupCores(out)
+	slices.Sort(keep)
+	for _, k := range slices.Compact(keep) {
+		x, y := xs[k%int64(len(xs))], ys[k/int64(len(xs))]
+		out = append(out, geom.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side})
+	}
+	return out
+}
+
+// gridSteps returns the low edges of the reframing cores along one axis
+// of [lo, hi): lo, lo+sep, ... while a core fits, then hi-side.
+func gridSteps(lo, hi, sep, side geom.Coord) []geom.Coord {
+	var steps []geom.Coord
+	for v := lo; ; v += sep {
+		if v+side > hi {
+			v = hi - side
+		}
+		steps = append(steps, v)
+		if v == hi-side {
+			return steps
+		}
+	}
+}
+
+// stepsOverlapping returns the index range [i, j) of the ascending steps
+// whose core [step, step+side) overlaps [lo, hi).
+func stepsOverlapping(steps []geom.Coord, lo, hi, side geom.Coord) (int, int) {
+	i := sort.Search(len(steps), func(k int) bool { return steps[k]+side > lo })
+	j := sort.Search(len(steps), func(k int) bool { return steps[k] >= hi })
+	return i, max(i, j)
 }
 
 func dedupCores(cores []geom.Rect) []geom.Rect {

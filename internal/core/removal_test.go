@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,8 +13,9 @@ import (
 )
 
 // mergeAndReframeReference is mergeAndReframe with the all-pairs overlap
-// loop it had before the grid neighbour query. FuzzRemoveRedundant holds
-// the two equal, order included.
+// loop it had before the grid neighbour query, and a sparse group's grid
+// filtered by testing every grid core against every member.
+// FuzzRemoveRedundant holds the two equal, order included.
 func mergeAndReframeReference(cores []geom.Rect, cfg Config) []geom.Rect {
 	n := len(cores)
 	if n == 0 {
@@ -82,6 +84,7 @@ func mergeAndReframeReference(cores []geom.Rect, cfg Config) []geom.Rect {
 		for _, m := range members {
 			bb = bb.Union(cores[m])
 		}
+		var grid []geom.Rect
 		for y := bb.Y0; ; y += sep {
 			if y+side > bb.Y1 {
 				y = bb.Y1 - side
@@ -90,7 +93,7 @@ func mergeAndReframeReference(cores []geom.Rect, cfg Config) []geom.Rect {
 				if x+side > bb.X1 {
 					x = bb.X1 - side
 				}
-				out = append(out, geom.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side})
+				grid = append(grid, geom.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side})
 				if x == bb.X1-side {
 					break
 				}
@@ -99,6 +102,21 @@ func mergeAndReframeReference(cores []geom.Rect, cfg Config) []geom.Rect {
 				break
 			}
 		}
+		// A sparse group keeps the grid cores that overlap a member,
+		// found by testing every member.
+		if len(grid) > reframeMaxRatio*len(members) {
+			kept := grid[:0]
+			for _, g := range grid {
+				for _, m := range members {
+					if g.Overlaps(cores[m]) {
+						kept = append(kept, g)
+						break
+					}
+				}
+			}
+			grid = kept
+		}
+		out = append(out, grid...)
 	}
 	return dedupCores(out)
 }
@@ -356,6 +374,13 @@ func FuzzRemoveRedundant(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("mergeAndReframe of %d cores:\n got %v\nwant %v", len(cores), got, want)
 		}
+		// Reframing amplifies by a fixed multiple at most: a full grid
+		// holds reframeMaxRatio cores per member, and a filtered one at
+		// most the 7 x 7 grid cores that can overlap one member, the
+		// widest decodeCores makes being side+3600 at pitch 1150.
+		if len(got) > 64*len(cores) {
+			t.Fatalf("mergeAndReframe turned %d cores into %d", len(cores), len(got))
+		}
 		got = discardCovered(slices.Clone(cores), l, cfg)
 		want = discardCoveredReference(slices.Clone(cores), l, cfg)
 		if !slices.Equal(got, want) {
@@ -421,5 +446,38 @@ func TestRemoveRedundantScale(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("removing %d cores took more than 30s", len(cores))
+	}
+}
+
+// TestRemoveRedundantStaircase: 1,000 cores in a diagonal chain, each 500
+// dbu right of and above the last, merge into one group whose bounding
+// box a full reframing grid would tile with 190,096 cores. Keeping only
+// the grid cores that overlap a member bounds the output and the memory
+// removal allocates by the member count.
+func TestRemoveRedundantStaircase(t *testing.T) {
+	cfg := DefaultConfig()
+	side := cfg.Spec.CoreSide
+	l := layout.New("staircase")
+	var cores []geom.Rect
+	for i := 0; i < 1000; i++ {
+		x, y := geom.Coord(500*i), geom.Coord(500*i)
+		cores = append(cores, geom.R(x, y, x+side, y+side))
+		l.AddRect(cfg.Layer, geom.R(x+400, y+500, x+800, y+700))
+	}
+	if n := len(mergeAndReframeReference(slices.Clone(cores), Config{Spec: cfg.Spec, ReframeThreshold: 1 << 30})); n != len(cores) {
+		t.Fatalf("staircase setup: %d cores without reframing, want %d", n, len(cores))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := RemoveRedundant(slices.Clone(cores), l, cfg)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d cores -> %d, %d bytes allocated", len(cores), len(out), alloc)
+	if len(out) == 0 || len(out) > 3*len(cores) {
+		t.Fatalf("removal turned %d staircase cores into %d, want at most %d", len(cores), len(out), 3*len(cores))
+	}
+	if alloc > 8<<20 {
+		t.Fatalf("removal of %d staircase cores allocated %d bytes, budget %d", len(cores), alloc, 8<<20)
 	}
 }

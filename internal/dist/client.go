@@ -15,6 +15,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/scan"
+	"hotspot/internal/workerpanic"
 )
 
 // errBackendDown classifies a shard failure that retires the backend: the
@@ -35,7 +36,7 @@ const (
 	failConn
 	// failFatal fails the whole scan: the backend understood the request
 	// and rejected it (4xx), a worker panicked evaluating it (500 with a
-	// scan.PanicPrefix message: the same shard panics again on any
+	// workerpanic.Prefix message: the same shard panics again on any
 	// backend), or it answered with candidates outside the shard window,
 	// which no amount of retrying fixes — the coordinator and backend
 	// disagree about the contract. Such a backend still answers /readyz,
@@ -148,7 +149,7 @@ func (c *coordinator) postShard(ctx context.Context, b *backend, sh geom.Rect, r
 				retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 				err:        herr,
 			}
-		case resp.StatusCode == http.StatusInternalServerError && strings.HasPrefix(eb.Error, scan.PanicPrefix):
+		case resp.StatusCode == http.StatusInternalServerError && strings.HasPrefix(eb.Error, workerpanic.Prefix):
 			return nil, zero, &shardError{class: failFatal, status: resp.StatusCode, err: herr}
 		case resp.StatusCode >= 500:
 			return nil, zero, &shardError{class: failTransient, status: resp.StatusCode, err: herr}

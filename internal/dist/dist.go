@@ -19,6 +19,10 @@
 //   - when every backend is down, remaining shards degrade gracefully to
 //     the local tiled path (unless Options.NoLocalFallback), so the scan
 //     still completes with an identical report;
+//   - a shard is re-dispatched at most maxRedispatches times; one that
+//     fails on backends that keep answering /readyz (every attempt past
+//     ShardTimeout, say) is then evaluated locally the same way, or fails
+//     the scan with a *RedispatchError under Options.NoLocalFallback;
 //   - a backend that returns a candidate anchored outside the shard it
 //     was sent breaks the window contract; the scan fails naming it, and
 //     the shard's set is neither merged nor stored.
@@ -66,6 +70,27 @@ import (
 // remain. The partial report returned alongside it covers the shards that
 // did complete.
 var ErrAllBackendsDown = errors.New("dist: all backends down")
+
+// maxRedispatches caps how many times one shard is re-queued after a
+// backend failed it. Past the cap the shard is not sent again: a backend
+// that times out on it is revived by its next /readyz answer, so without a
+// cap the shard would circle the fleet until the caller's context ended.
+const maxRedispatches = 3
+
+// RedispatchError reports a shard that failed on a backend once more than
+// maxRedispatches allows, in a scan with local fallback disabled.
+type RedispatchError struct {
+	// Shard is the shard window.
+	Shard geom.Rect
+	// Err is the last backend failure.
+	Err error
+}
+
+func (e *RedispatchError) Error() string {
+	return fmt.Sprintf("dist: shard %v failed %d dispatches: %v", e.Shard, maxRedispatches+1, e.Err)
+}
+
+func (e *RedispatchError) Unwrap() error { return e.Err }
 
 // Default robustness parameters; see the matching Options fields.
 const (
@@ -311,7 +336,7 @@ func Scan(ctx context.Context, det *core.Detector, l *layout.Layout, opts Option
 				}(b)
 			}
 		}
-		if c.alive == 0 {
+		if len(backends) == 0 {
 			c.drainLocal(scanCtx)
 		} else {
 			select {
@@ -393,6 +418,8 @@ type coordinator struct {
 	doneClosed bool
 	goneClosed bool
 	stats      Stats
+	// dispatches counts each shard's failed backend dispatches.
+	dispatches map[geom.Rect]int
 }
 
 type shardKind int
@@ -432,7 +459,16 @@ func (c *coordinator) worker(ctx context.Context, b *backend) {
 			case errors.Is(err, errBackendDown):
 				c.reg.Counter("dist.backend_down").Inc()
 				b.markDown()
-				c.requeue(sh)
+				if c.requeue(sh) {
+					continue
+				}
+				if c.opts.NoLocalFallback {
+					c.fail(&RedispatchError{Shard: sh, Err: err})
+					return
+				}
+				if !c.scanLocal(ctx, sh) {
+					return
+				}
 			default:
 				c.fail(err)
 				return
@@ -549,15 +585,9 @@ func (c *coordinator) drainLocal(ctx context.Context) {
 		}
 		select {
 		case sh := <-c.queue:
-			c.reg.Counter("dist.shards_local").Inc()
-			cands, st, err := c.det.ScanShardContext(ctx, c.l, sh, c.snap, core.ScanOptions{
-				Tile: c.tile, Workers: c.opts.LocalWorkers,
-			})
-			if err != nil {
-				c.fail(err)
+			if !c.scanLocal(ctx, sh) {
 				return
 			}
-			c.complete(sh, cands, st, shardLocal)
 		default:
 			// Unreachable while the invariant holds: with no workers
 			// alive, every pending shard sits in the queue.
@@ -565,6 +595,21 @@ func (c *coordinator) drainLocal(ctx context.Context) {
 			return
 		}
 	}
+}
+
+// scanLocal evaluates one shard on the coordinator and records it; on
+// failure it fails the scan and returns false.
+func (c *coordinator) scanLocal(ctx context.Context, sh geom.Rect) bool {
+	c.reg.Counter("dist.shards_local").Inc()
+	cands, st, err := c.det.ScanShardContext(ctx, c.l, sh, c.snap, core.ScanOptions{
+		Tile: c.tile, Workers: c.opts.LocalWorkers,
+	})
+	if err != nil {
+		c.fail(err)
+		return false
+	}
+	c.complete(sh, cands, st, shardLocal)
+	return true
 }
 
 // complete records one finished shard: write it back to the store, fold
@@ -605,14 +650,25 @@ func (c *coordinator) complete(sh geom.Rect, cands []scan.Candidate, tiles core.
 	}
 }
 
-// requeue puts a shard back on the dispatch queue after its backend died;
-// capacity is guaranteed (a shard occupies at most one queue slot).
-func (c *coordinator) requeue(sh geom.Rect) {
-	c.reg.Counter("dist.redispatches").Inc()
+// requeue puts a shard back on the dispatch queue after its backend
+// failed it, and reports false without requeueing once the shard has been
+// re-dispatched maxRedispatches times. Capacity is guaranteed (a shard
+// occupies at most one queue slot).
+func (c *coordinator) requeue(sh geom.Rect) bool {
 	c.mu.Lock()
+	if c.dispatches == nil {
+		c.dispatches = map[geom.Rect]int{}
+	}
+	c.dispatches[sh]++
+	if c.dispatches[sh] > maxRedispatches {
+		c.mu.Unlock()
+		return false
+	}
 	c.stats.Redispatches++
 	c.mu.Unlock()
+	c.reg.Counter("dist.redispatches").Inc()
 	c.queue <- sh
+	return true
 }
 
 // fail records the scan's first fatal error, wakes every waiter, and

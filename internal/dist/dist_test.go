@@ -19,6 +19,7 @@ import (
 	"hotspot/internal/obs"
 	"hotspot/internal/scan"
 	"hotspot/internal/server"
+	"hotspot/internal/workerpanic"
 )
 
 // fixTile spans the 60000-dbu fixture with 4 tile rows, so shard counts
@@ -333,6 +334,73 @@ func TestTimeoutFailsOverToLocal(t *testing.T) {
 	}
 }
 
+// hangingReadyBackend answers /readyz 200 but never answers a shard, so
+// every attempt runs into ShardTimeout while health probes keep reviving
+// the backend.
+func hangingReadyBackend(t *testing.T) *httptest.Server {
+	unblock := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/scan" {
+			w.Write([]byte(`{"ready":true}`)) //nolint:errcheck
+			return
+		}
+		select { // see TestTimeoutFailsOverToLocal on unblock
+		case <-r.Context().Done():
+		case <-unblock:
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(unblock) })
+	return srv
+}
+
+// TestTimeoutRedispatchCap: a shard that times out on a backend that stays
+// ready is re-dispatched maxRedispatches times and then evaluated locally,
+// so the scan ends with the exact report well inside the caller's
+// deadline instead of circling until it; with local fallback disabled it
+// fails with a *RedispatchError naming the shard.
+func TestTimeoutRedispatchCap(t *testing.T) {
+	b, det, want := fixture(t)
+	srv := hangingReadyBackend(t)
+	opts := Options{
+		Backends: []string{srv.URL}, Shards: 2, Tile: fixTile,
+		ShardTimeout: 20 * time.Millisecond,
+		sleep:        (&instantSleep{}).sleep,
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	rep, st, err := Scan(ctx, det, b.Test, opts)
+	if err != nil {
+		t.Fatalf("Scan: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("Scan took %v against a 30s deadline", took)
+	}
+	reportsEqual(t, "redispatch-cap", rep, want)
+	if st.ShardsLocal+st.ShardsEmpty != st.Shards || st.ShardsRemote != 0 {
+		t.Fatalf("%d local + %d empty + %d remote of %d shards, want every shard local", st.ShardsLocal, st.ShardsEmpty, st.ShardsRemote, st.Shards)
+	}
+	if all := st.ShardsLocal * maxRedispatches; st.Redispatches != all {
+		t.Fatalf("%d redispatches, want %d per local shard (%d)", st.Redispatches, maxRedispatches, all)
+	}
+
+	opts.NoLocalFallback = true
+	_, _, err = Scan(ctx, det, b.Test, opts)
+	var re *RedispatchError
+	if !errors.As(err, &re) {
+		t.Fatalf("NoLocalFallback: err = %v, want a *RedispatchError", err)
+	}
+	found := false
+	for _, sh := range shardBands(b.Test.Bounds, fixTile, 2) {
+		found = found || sh == re.Shard
+	}
+	if !found || !strings.Contains(err.Error(), re.Shard.String()) {
+		t.Fatalf("error %q names shard %v, not one of the scan's", err, re.Shard)
+	}
+}
+
 // TestMidStreamDropFailsOver pins the torn-response path: a backend that
 // dies while streaming its response body is retired immediately (no retry
 // budget burned) and the scan completes locally, identically.
@@ -546,7 +614,7 @@ func TestLyingBackendRejected(t *testing.T) {
 }
 
 // TestWorkerPanicFailsScan: a shard whose evaluation panics answers 500
-// with a scan.PanicPrefix message on every backend while each stays ready,
+// with a workerpanic.Prefix message on every backend while each stays ready,
 // so the scan fails at once with the panic instead of retrying, retiring,
 // reviving and re-dispatching the shard forever.
 func TestWorkerPanicFailsScan(t *testing.T) {
@@ -560,7 +628,7 @@ func TestWorkerPanicFailsScan(t *testing.T) {
 				return
 			}
 			posts.Add(1)
-			http.Error(w, `{"error":"`+scan.PanicPrefix+`boom"}`, http.StatusInternalServerError)
+			http.Error(w, `{"error":"`+workerpanic.Prefix+`boom"}`, http.StatusInternalServerError)
 		}))
 		t.Cleanup(srv.Close)
 		return srv
@@ -579,7 +647,7 @@ func TestWorkerPanicFailsScan(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), scan.PanicPrefix+"boom") {
+		if err == nil || !strings.Contains(err.Error(), workerpanic.Prefix+"boom") {
 			t.Fatalf("err = %v, want the backend's worker panic", err)
 		}
 	case <-time.After(30 * time.Second):

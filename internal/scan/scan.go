@@ -28,7 +28,6 @@ package scan
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -36,6 +35,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
+	"hotspot/internal/workerpanic"
 )
 
 // DefaultTileFactor sizes the default tile as a multiple of the clip side:
@@ -143,44 +143,6 @@ type Result struct {
 	TilesCached, TilesDirty int
 }
 
-// PanicError is a panic recovered from a worker goroutine: the work it was
-// part of stops and fails with this error (or, in a worker pool that
-// reports no error, panics again with it on the caller's goroutine), so a
-// server fails one request instead of crashing.
-type PanicError struct {
-	// Value is the value the worker panicked with.
-	Value any
-	// Stack is the panicking goroutine's stack trace.
-	Stack []byte
-}
-
-// PanicPrefix begins every PanicError message. hotspotd answers a worker
-// panic with status 500 and PanicPrefix followed by the panic value, so a
-// client can tell a panic, which the same request hits again on any
-// server, from a transient failure.
-const PanicPrefix = "worker panic: "
-
-// Error reports the panic value followed by the worker's stack. The error,
-// or the panic raised again with it, is where the stack of the failing
-// code gets printed: the worker goroutine that ran it is gone.
-func (e *PanicError) Error() string {
-	if len(e.Stack) == 0 {
-		return PanicPrefix + fmt.Sprint(e.Value)
-	}
-	return fmt.Sprintf("%s%v\n\n%s", PanicPrefix, e.Value, e.Stack)
-}
-
-// Recovered wraps a value returned by recover, called in the deferred
-// function of the panicking goroutine, with that goroutine's stack. A
-// *PanicError re-raised from a nested pool is returned as it is, keeping
-// the original stack.
-func Recovered(v any) *PanicError {
-	if p, ok := v.(*PanicError); ok {
-		return p
-	}
-	return &PanicError{Value: v, Stack: debug.Stack()}
-}
-
 // Run executes a tiled scan over src. Tiles are distributed across a
 // work-stealing pool of opts.Workers goroutines; each finished tile is
 // written to the store (when one is configured) and its candidates merged
@@ -188,7 +150,7 @@ func Recovered(v any) *PanicError {
 // the context error together with the partial result; completed tiles
 // remain in the store, so a later Run against it picks up where this one
 // stopped. A panic while processing a tile stops the scan the same way and
-// is returned as a *PanicError.
+// is returned as a *workerpanic.Error.
 func Run(ctx context.Context, src Source, opts Options, eval TileFunc) (Result, error) {
 	opts = opts.withDefaults()
 	var res Result
@@ -291,11 +253,11 @@ const (
 	tileSplit                        // subdivided; quadrants re-queued
 )
 
-// runTileRecover is runTile returning a panic as a *PanicError.
+// runTileRecover is runTile returning a panic as a *workerpanic.Error.
 func runTileRecover(ctx context.Context, src Source, opts Options, eval TileFunc, tile geom.Rect, pool *stealPool, w int) (cands []Candidate, outcome tileOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = Recovered(v)
+			err = workerpanic.Recovered(v)
 		}
 	}()
 	return runTile(ctx, src, opts, eval, tile, pool, w)

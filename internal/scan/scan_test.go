@@ -18,6 +18,7 @@ import (
 	"hotspot/internal/clip"
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
+	"hotspot/internal/workerpanic"
 )
 
 var testSpec = clip.Spec{CoreSide: 1200, ClipSide: 4800}
@@ -499,7 +500,7 @@ func TestRunPropagatesEvalError(t *testing.T) {
 }
 
 // TestRunRecoversTilePanic: a TileFunc that panics on one tile stops the
-// scan, which returns the panic as a *PanicError instead of crashing the
+// scan, which returns the panic as a *workerpanic.Error instead of crashing the
 // process, at one worker and at several (where the other workers must
 // not park forever on the stopped pool). The error's message carries the
 // worker's stack, which nothing else prints.
@@ -521,10 +522,10 @@ func TestRunRecoversTilePanic(t *testing.T) {
 		}()
 		select {
 		case err := <-done:
-			var p *PanicError
+			var p *workerpanic.Error
 			if !errors.As(err, &p) || p.Value != "tile boom" || !strings.Contains(string(p.Stack), "runTile") ||
-				!strings.HasPrefix(err.Error(), PanicPrefix+"tile boom\n") || !strings.Contains(err.Error(), "runTile") {
-				t.Fatalf("workers=%d: err = %v, want a *PanicError of \"tile boom\" with its stack", workers, err)
+				!strings.HasPrefix(err.Error(), workerpanic.Prefix+"tile boom\n") || !strings.Contains(err.Error(), "runTile") {
+				t.Fatalf("workers=%d: err = %v, want a *workerpanic.Error of \"tile boom\" with its stack", workers, err)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("workers=%d: Run did not return after a tile panicked", workers)

@@ -3,16 +3,19 @@ package scan
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
 
+	"hotspot/internal/clip"
 	"hotspot/internal/geom"
 )
 
@@ -41,34 +44,33 @@ import (
 // header (see core.Detector.ModelDigest): any mismatch invalidates the
 // whole file, because a changed model can flip any tile's verdicts.
 //
-// On disk the store is an append-only JSONL journal: a header line
+// On disk the store is an append-only line journal: a JSON header line
 // carrying the format version and model digest, then one line per tile
 // keyed by its fingerprint, candidates stored in snap-base-relative
-// coordinates. Each line is flushed as its tile finishes, so the store is
-// also how an interrupted scan resumes: re-running against it serves the
-// finished tiles and evaluates only the rest. Torn trailing writes (a
-// killed scan) are tolerated by self-healing on the next append — a
-// newline is written first, so the torn fragment becomes an undecodable
-// line that loading skips — rather than by truncation, which keeps the
-// file safe to copy or read while a writer is live.
+// coordinates in a compact varint record (see appendEntryLine) that
+// loading decodes by hand. Each line is flushed as its tile finishes, so
+// the store is also how an interrupted scan resumes: re-running against
+// it serves the finished tiles and evaluates only the rest. Torn trailing
+// writes (a killed scan) are tolerated by self-healing on the next append
+// — a newline is written first, so the torn fragment becomes an
+// undecodable line that loading skips — rather than by truncation, which
+// keeps the file safe to copy or read while a writer is live.
 
 // storeVersion is bumped whenever the store line format or the key
 // derivation changes; a version mismatch invalidates the whole file,
 // exactly like a digest mismatch.
-const storeVersion = 1
+//
+// Version history:
+//
+//	1: JSON entry lines.
+//	2: base64 varint entry records (appendEntryLine).
+const storeVersion = 2
 
 // storeHeader is the store's first line: enough identity to refuse
 // serving results produced by a different model or format.
 type storeHeader struct {
 	Version int    `json:"v"`
 	Digest  string `json:"digest"`
-}
-
-// storeEntry is one cached tile (or shard): its content key and its
-// evaluated candidates in snap-base-relative coordinates.
-type storeEntry struct {
-	Key   string      `json:"k"`
-	Cands []Candidate `json:"cands"`
 }
 
 // StoreStats is a point-in-time summary of a Store, reported alongside
@@ -87,7 +89,7 @@ type StoreStats struct {
 }
 
 // Store is the persistent content-addressed tile result store. It is an
-// append-only JSONL file with an in-memory index, safe for concurrent
+// append-only line journal with an in-memory index, safe for concurrent
 // Get/Put from every scan worker. Entries accumulate across scans of
 // the same model: a re-scan Puts only the tiles it had to evaluate, so
 // the file grows with the edit churn, not with the scan count. Duplicate
@@ -138,7 +140,12 @@ func OpenStore(path, digest string, reuse bool) (*Store, error) {
 		st.f = f
 		st.w = bufio.NewWriter(f)
 		st.bytes = 0
-		if err := st.writeLine(storeHeader{Version: storeVersion, Digest: digest}); err != nil {
+		hdr, err := json.Marshal(storeHeader{Version: storeVersion, Digest: digest})
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("scan: encoding store header: %w", err)
+		}
+		if err := st.write(append(hdr, '\n')); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -159,8 +166,9 @@ func OpenStore(path, digest string, reuse bool) (*Store, error) {
 
 // load reads an existing store file. It never truncates: undecodable
 // lines (torn writes that a later append healed past) are skipped, and a
-// torn tail is recorded so the first append heals it. A missing file is not an error; an incompatible
-// header marks the store invalidated so OpenStore recreates the file.
+// torn tail is recorded so the first append heals it. A missing file is
+// not an error; an incompatible header marks the store invalidated so
+// OpenStore recreates the file.
 func (st *Store) load(path, digest string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -172,55 +180,54 @@ func (st *Store) load(path, digest string) error {
 	defer f.Close()
 
 	r := bufio.NewReader(f)
-	var hdr storeHeader
-	good, n, err := readLine(r, &hdr)
+	line, err := readLine(r)
 	if err != nil {
 		return fmt.Errorf("scan: reading store: %w", err)
 	}
-	if !good || hdr.Version != storeVersion || hdr.Digest != digest {
-		st.invalidated = n > 0 // an empty file is fresh, not invalidated
+	var hdr storeHeader
+	if !terminated(line) || json.Unmarshal(line, &hdr) != nil || hdr.Version != storeVersion || hdr.Digest != digest {
+		st.invalidated = len(line) > 0 // an empty file is fresh, not invalidated
 		return nil
 	}
-	st.bytes = n
+	st.bytes = int64(len(line))
+	var dec entryDecoder
 	for {
-		var e storeEntry
-		good, n, err := readLine(r, &e)
+		line, err := readLine(r)
 		if err != nil {
 			return fmt.Errorf("scan: reading store: %w", err)
 		}
-		if n == 0 {
+		if len(line) == 0 {
 			break // clean EOF
 		}
-		st.bytes += n
-		if !good {
+		st.bytes += int64(len(line))
+		key, cands, ok := dec.decode(line)
+		if !ok {
 			// Undecodable: either a healed torn write mid-file (skip and
 			// keep reading) or the torn tail itself (no newline; the read
-			// after it returns n == 0 and the loop ends).
+			// after it returns nothing and the loop ends).
 			st.healTear = true
 			continue
 		}
 		st.healTear = false
-		st.entries[e.Key] = e.Cands
+		st.entries[key] = cands
 	}
 	return nil
 }
 
-// readLine reads one newline-terminated JSON line into v. good is false —
-// with a nil error — when the stream ends or the line is torn (no
-// trailing newline or undecodable JSON).
-func readLine(r *bufio.Reader, v any) (good bool, n int64, err error) {
+// readLine reads one line of r, its newline included; a torn tail comes
+// back without one, and the end of the stream as an empty line.
+func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadBytes('\n')
-	n = int64(len(line))
 	if errors.Is(err, io.EOF) {
-		return false, n, nil // torn tail: no terminating newline
+		err = nil
 	}
-	if err != nil {
-		return false, n, err
-	}
-	if json.Unmarshal(line, v) != nil {
-		return false, n, nil // torn tail: interleaved or cut write
-	}
-	return true, n, nil
+	return line, err
+}
+
+// terminated reports whether line ends with its newline: a line without
+// one is a torn write.
+func terminated(line []byte) bool {
+	return len(line) > 0 && line[len(line)-1] == '\n'
 }
 
 // Get returns the cached candidates for key (in snap-base-relative
@@ -244,17 +251,19 @@ func (st *Store) Put(key string, cands []Candidate) error {
 	if cands == nil {
 		cands = []Candidate{} // an empty tile is a result, not an omission
 	}
-	return st.writeLine(storeEntry{Key: key, Cands: cands})
-}
-
-func (st *Store) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("scan: encoding store line: %w", err)
-	}
-	b = append(b, '\n')
+	line := appendEntryLine(nil, key, cands)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := st.write(line); err != nil {
+		return err
+	}
+	st.entries[key] = cands
+	return nil
+}
+
+// write appends one newline-terminated line and flushes it. The caller
+// holds st.mu, or owns st alone.
+func (st *Store) write(line []byte) error {
 	if st.healTear {
 		// Heal a torn tail by terminating it, never by truncating: a
 		// concurrent reader (or a file copy in flight) sees the same
@@ -265,17 +274,190 @@ func (st *Store) writeLine(v any) error {
 		st.bytes++
 		st.healTear = false
 	}
-	if _, err := st.w.Write(b); err != nil {
+	if _, err := st.w.Write(line); err != nil {
 		return fmt.Errorf("scan: writing store: %w", err)
 	}
 	if err := st.w.Flush(); err != nil {
 		return fmt.Errorf("scan: flushing store: %w", err)
 	}
-	st.bytes += int64(len(b))
-	if e, ok := v.(storeEntry); ok {
-		st.entries[e.Key] = e.Cands
-	}
+	st.bytes += int64(len(line))
 	return nil
+}
+
+// An entry line is the StdEncoding base64 of one varint record, then a
+// newline:
+//
+//	uvarint len(key), key bytes
+//	uvarint T, then T times: uvarint len(topo), topo bytes
+//	uvarint N, then N candidates, each:
+//	    varint At.X, At.Y, Key.Cell.X, Key.Cell.Y (zig-zag)
+//	    uvarint topoIdx<<2 | flagged<<1 | reclaimed
+//
+// The T topology strings are the entry's distinct Key.Topo values in
+// order of first use; topoIdx indexes them.
+
+// minCandBytes is the shortest encoded candidate: five one-byte varints.
+const minCandBytes = 5
+
+// appendEntryLine appends the entry line of (key, cands) to dst.
+func appendEntryLine(dst []byte, key string, cands []Candidate) []byte {
+	rec := binary.AppendUvarint(nil, uint64(len(key)))
+	rec = append(rec, key...)
+	var topos []string
+	index := map[string]uint64{}
+	for _, c := range cands {
+		if _, ok := index[c.Key.Topo]; !ok {
+			index[c.Key.Topo] = uint64(len(topos))
+			topos = append(topos, c.Key.Topo)
+		}
+	}
+	rec = binary.AppendUvarint(rec, uint64(len(topos)))
+	for _, t := range topos {
+		rec = binary.AppendUvarint(rec, uint64(len(t)))
+		rec = append(rec, t...)
+	}
+	rec = binary.AppendUvarint(rec, uint64(len(cands)))
+	for _, c := range cands {
+		rec = binary.AppendVarint(rec, int64(c.At.X))
+		rec = binary.AppendVarint(rec, int64(c.At.Y))
+		rec = binary.AppendVarint(rec, int64(c.Key.Cell.X))
+		rec = binary.AppendVarint(rec, int64(c.Key.Cell.Y))
+		flags := index[c.Key.Topo] << 2
+		if c.Flagged {
+			flags |= 2
+		}
+		if c.Reclaimed {
+			flags |= 1
+		}
+		rec = binary.AppendUvarint(rec, flags)
+	}
+	dst = base64.StdEncoding.AppendEncode(dst, rec)
+	return append(dst, '\n')
+}
+
+// entryDecoder decodes the entry lines of one load. It reuses one record
+// buffer across lines and interns topology strings across the load, so
+// the many candidates sharing a topology share one string.
+type entryDecoder struct {
+	rec   []byte
+	topos []string
+	seen  map[string]string
+}
+
+// decode parses one entry line, its newline included. ok is false for a
+// line that is torn (no newline) or undecodable: bad base64, a count or
+// length beyond the bytes that remain, a topology index out of range, a
+// coordinate outside int32, or bytes after the last candidate. Every
+// count is checked against the remaining bytes before anything is
+// allocated for it, so no line allocates more than a small multiple of
+// its own length.
+func (d *entryDecoder) decode(line []byte) (key string, cands []Candidate, ok bool) {
+	if !terminated(line) {
+		return "", nil, false
+	}
+	rec, err := base64.StdEncoding.AppendDecode(d.rec[:0], line[:len(line)-1])
+	d.rec = rec
+	if err != nil {
+		return "", nil, false
+	}
+	r := recordReader{b: rec}
+	keyBytes := r.bytes()
+	nt := r.count(1)
+	topos := d.topos[:0]
+	for i := uint64(0); i < nt && !r.bad; i++ {
+		topos = append(topos, d.intern(r.bytes()))
+	}
+	d.topos = topos
+	nc := r.count(minCandBytes)
+	if r.bad {
+		return "", nil, false
+	}
+	cands = make([]Candidate, nc)
+	for i := range cands {
+		c := &cands[i]
+		c.At = geom.Point{X: r.coord(), Y: r.coord()}
+		cell := geom.Point{X: r.coord(), Y: r.coord()}
+		flags := r.uvarint()
+		if idx := flags >> 2; idx < uint64(len(topos)) {
+			c.Key = clip.Key{Cell: cell, Topo: topos[idx]}
+		} else {
+			r.bad = true
+		}
+		c.Flagged = flags&2 != 0
+		c.Reclaimed = flags&1 != 0
+		if r.bad {
+			return "", nil, false
+		}
+	}
+	if len(r.b) != 0 {
+		return "", nil, false
+	}
+	return string(keyBytes), cands, true
+}
+
+// intern returns b as a string, one string per distinct value per load.
+func (d *entryDecoder) intern(b []byte) string {
+	if s, ok := d.seen[string(b)]; ok {
+		return s
+	}
+	if d.seen == nil {
+		d.seen = map[string]string{}
+	}
+	s := string(b)
+	d.seen[s] = s
+	return s
+}
+
+// recordReader reads the varints of one entry record. The first failure
+// sets bad, and every later read then returns zero.
+type recordReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// count reads a count of items that take at least size bytes each, and
+// fails when the remaining bytes cannot hold that many.
+func (r *recordReader) count(size int) uint64 {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/size) {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
+// bytes reads a length-prefixed byte string, aliasing the record.
+func (r *recordReader) bytes() []byte {
+	n := r.count(1)
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+// coord reads a zig-zag varint that must fit a geom.Coord.
+func (r *recordReader) coord() geom.Coord {
+	v, n := binary.Varint(r.b)
+	if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return geom.Coord(v)
+}
+
+func (r *recordReader) fail() {
+	r.bad = true
+	r.b = nil
 }
 
 // Stats summarizes the store.

@@ -3,6 +3,7 @@ package scan
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hotspot/internal/clip"
@@ -193,6 +194,53 @@ func TestStoreGarbageHeaderInvalidates(t *testing.T) {
 	defer st.Close()
 	if ss := st.Stats(); !ss.Invalidated || ss.Entries != 0 {
 		t.Fatalf("stats = %+v; want invalidated, 0 entries", ss)
+	}
+}
+
+// A version 1 store (JSON entry lines) is not read: opening it under the
+// same digest reports it invalidated and rebuilds the file as version 2.
+func TestStoreV1Invalidated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	v1 := `{"v":1,"digest":"d"}
+{"k":"a","cands":[{"at":{"X":1,"Y":2},"key":{"cell":{"X":0,"Y":0},"topo":"t"},"flagged":true}]}
+{"k":"b","cands":[]}
+`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(path, "d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get("a"); ok {
+		t.Fatal("served an entry from a version 1 store")
+	}
+	if ss := st.Stats(); !ss.Invalidated || ss.Entries != 0 {
+		t.Fatalf("stats = %+v; want invalidated, 0 entries", ss)
+	}
+	want := storeCands(2)
+	if err := st.Put("a", want); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr, _, _ := strings.Cut(string(raw), "\n"); hdr != `{"v":2,"digest":"d"}` {
+		t.Fatalf("rebuilt header %q, want version 2", hdr)
+	}
+	st, err = OpenStore(path, "d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, ok := st.Get("a"); !ok || !candsEqual(got, want) {
+		t.Fatalf("Get(a) from the rebuilt store = %v, %v; want %v", got, ok, want)
+	}
+	if ss := st.Stats(); ss.Invalidated || ss.Entries != 1 {
+		t.Fatalf("rebuilt store stats = %+v; want 1 entry, not invalidated", ss)
 	}
 }
 

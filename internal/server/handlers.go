@@ -15,6 +15,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/scan"
+	"hotspot/internal/workerpanic"
 )
 
 // errorResponse is the JSON error envelope of every non-2xx response.
@@ -156,18 +157,19 @@ func writeCtxError(w http.ResponseWriter, err error) {
 	writeError(w, code, "%v", err)
 }
 
-// writeScanError answers a failed scan: 504 or 503 when the request's
-// context ended, 500 when a scan worker panicked (*scan.PanicError), and
-// 400 otherwise (the layout or its options were refused). A panic's stack
-// goes to the server log, its value alone to the client.
+// writeScanError answers a failed scan or clip classification: 504 or 503
+// when the request's context ended, 500 when a worker panicked
+// (*workerpanic.Error), and 400 otherwise (the layout or its options were
+// refused). A panic's stack goes to the server log, its value alone to the
+// client.
 func writeScanError(w http.ResponseWriter, err error) {
-	var panicked *scan.PanicError
+	var panicked *workerpanic.Error
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeCtxError(w, err)
 	case errors.As(err, &panicked):
-		log.Printf("hotspotd: scan failed: %v", err)
-		writeError(w, http.StatusInternalServerError, "%s%v", scan.PanicPrefix, panicked.Value)
+		log.Printf("hotspotd: request failed: %v", err)
+		writeError(w, http.StatusInternalServerError, "%s%v", workerpanic.Prefix, panicked.Value)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -243,7 +245,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		select {
 		case res := <-t.result:
 			if res.err != nil {
-				writeCtxError(w, res.err)
+				writeScanError(w, res.err)
 				return
 			}
 			resp.Labels[i] = res.label

@@ -8,6 +8,7 @@ import (
 
 	"hotspot/internal/clip"
 	"hotspot/internal/obs"
+	"hotspot/internal/workerpanic"
 )
 
 // Backpressure and lifecycle errors surfaced by the pool.
@@ -162,6 +163,9 @@ func (p *pool) collect(first *task) []*task {
 // expired (their handler has moved on; the buffered result channel makes
 // the send non-blocking either way). With a batched classifier installed,
 // the still-live tasks of a multi-clip batch are classified in one call.
+// A panic while classifying fails the batch's unanswered tasks with a
+// *workerpanic.Error, so their requests answer 500 and the worker lives
+// on to serve the next batch.
 func (p *pool) run(batch []*task) {
 	p.reg.Histogram("server.batch.size").Observe(float64(len(batch)))
 	p.reg.Gauge("server.queue.depth").Set(int64(len(p.queue)))
@@ -177,6 +181,15 @@ func (p *pool) run(batch []*task) {
 	if len(live) == 0 {
 		return
 	}
+	answered := 0
+	defer func() {
+		if v := recover(); v != nil {
+			err := workerpanic.Recovered(v)
+			for _, t := range live[answered:] {
+				t.result <- taskResult{err: err}
+			}
+		}
+	}()
 	if p.classifyBatch != nil && len(live) > 1 {
 		ps := make([]*clip.Pattern, len(live))
 		for i, t := range live {
@@ -189,6 +202,7 @@ func (p *pool) run(batch []*task) {
 			p.reg.Histogram("server.classify.seconds").ObserveDuration(perClip)
 			p.reg.Counter("server.clips.classified").Inc()
 			t.result <- taskResult{label: labels[i]}
+			answered++
 		}
 		return
 	}
@@ -198,5 +212,6 @@ func (p *pool) run(batch []*task) {
 		p.reg.Histogram("server.classify.seconds").ObserveDuration(time.Since(start))
 		p.reg.Counter("server.clips.classified").Inc()
 		t.result <- taskResult{label: label}
+		answered++
 	}
 }

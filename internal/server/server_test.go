@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 	"hotspot/internal/core"
 	"hotspot/internal/geom"
 	"hotspot/internal/iccad"
-	"hotspot/internal/scan"
+	"hotspot/internal/workerpanic"
 )
 
 // The package fixture: one small benchmark and one trained detector,
@@ -120,6 +121,53 @@ func TestDetectEndpoint(t *testing.T) {
 
 // TestDetectConcurrent is the acceptance scenario: sustained concurrent
 // batch classification through the shared queue under -race.
+// TestDetectClassifierPanic: a batch classifier that panics fails that
+// batch's request with 500 and the panic value, and the pool worker lives
+// on: /readyz still answers 200 and the next request is classified.
+func TestDetectClassifierPanic(t *testing.T) {
+	b, det := fixture(t)
+	s := testServer(t, nil, Config{Workers: 1, BatchSize: 64, BatchWait: 50 * time.Millisecond})
+	var calls atomic.Int32
+	real := s.pool.classifyBatch
+	s.pool.classifyBatch = func(ps []*clip.Pattern) []clip.Label {
+		if calls.Add(1) == 1 {
+			panic("classify boom")
+		}
+		return real(ps)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	patterns := b.Train[:8]
+	resp, data := postJSON(t, ts.URL+"/v1/detect", clipSetBody(t, patterns))
+	var eb errorResponse
+	if err := json.Unmarshal(data, &eb); err != nil || resp.StatusCode != http.StatusInternalServerError || eb.Error != workerpanic.Prefix+"classify boom" {
+		t.Fatalf("panicking batch: status %d, body %s; want 500 %q", resp.StatusCode, data, workerpanic.Prefix+"classify boom")
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("%d batch classifications, want the request's clips in one batch", calls.Load())
+	}
+
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready.Body.Close()
+	if ready.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz after a classifier panic: %d, want 200", ready.StatusCode)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/detect", clipSetBody(t, patterns))
+	var dr detectResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &dr) != nil {
+		t.Fatalf("request after the panic: status %d, body %s", resp.StatusCode, data)
+	}
+	for i, p := range patterns {
+		if want := det.ClassifyPattern(p); dr.Labels[i] != want {
+			t.Fatalf("pattern %d after the panic: label %v, want %v", i, dr.Labels[i], want)
+		}
+	}
+}
+
 func TestDetectConcurrent(t *testing.T) {
 	b, _ := fixture(t)
 	s := testServer(t, nil, Config{QueueSize: 4096})
@@ -625,13 +673,13 @@ func TestScanDeadline(t *testing.T) {
 }
 
 // TestScanErrorStatus pins how a failed /v1/scan or window request is
-// answered: a scan worker's panic (*scan.PanicError, however wrapped) is
-// the server's fault, 500, with scan.PanicPrefix and the panic value but
+// answered: a scan worker's panic (*workerpanic.Error, however wrapped) is
+// the server's fault, 500, with workerpanic.Prefix and the panic value but
 // not the stack in the body (the distributed coordinator reads the
 // prefix); the request's deadline is 504; any other refusal of the layout
 // or its options is 400.
 func TestScanErrorStatus(t *testing.T) {
-	panicked := &scan.PanicError{Value: "boom", Stack: []byte("goroutine 7 [running]:")}
+	panicked := &workerpanic.Error{Value: "boom", Stack: []byte("goroutine 7 [running]:")}
 	for _, tc := range []struct {
 		err  error
 		want int

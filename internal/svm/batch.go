@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"hotspot/internal/simd"
+	"hotspot/internal/workerpanic"
 )
 
 // batchChunkRows is the minimum number of rows each worker goroutine gets
@@ -47,7 +48,9 @@ func (m *Model) DecisionBatch(xs [][]float64) []float64 {
 }
 
 // DecisionBatchInto is DecisionBatch writing into a caller-provided slice
-// (len(out) must be >= len(xs)), for callers that reuse result buffers.
+// (len(out) must be >= len(xs)), for callers that reuse result buffers. A
+// panic in a fanned-out worker is raised again on the caller's goroutine
+// as a *workerpanic.Error once every worker has returned.
 func (m *Model) DecisionBatchInto(xs [][]float64, out []float64) {
 	n := len(xs)
 	if n == 0 {
@@ -69,19 +72,12 @@ func (m *Model) DecisionBatchInto(xs [][]float64, out []float64) {
 		m.decideRange(xs, qn, out)
 	} else {
 		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				m.decideRange(xs[lo:hi], qn[lo:hi], out[lo:hi])
-			}(start, end)
+		var g workerpanic.Group
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			g.Go(func() { m.decideRange(xs[lo:hi], qn[lo:hi], out[lo:hi]) })
 		}
-		wg.Wait()
+		g.Wait()
 	}
 	*qnp = qn
 	normPool.Put(qnp)
