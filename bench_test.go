@@ -294,8 +294,10 @@ func BenchmarkAblationFeedback(b *testing.B) {
 }
 
 // BenchmarkClassifyBatch compares per-clip ClassifyPattern calls against
-// the batched ClassifyBatch path (flat SVM layout, one DecisionBatch per
-// kernel) over the ablation benchmark's training patterns.
+// one ClassifyBatch call over the ablation benchmark's training patterns.
+// ClassifyPattern is ClassifyBatch of one clip, so the "scalar" leg runs
+// one-clip batches through the same engine and verdict memo; the two legs
+// differ only in how many clips share a batch.
 func BenchmarkClassifyBatch(b *testing.B) {
 	bench := ablationBench()
 	det, err := core.Train(bench.Train, core.DefaultConfig())

@@ -1,6 +1,9 @@
-// Multilayer demonstrates the §IV-A extension: hotspot features extracted
-// from two metal layers plus their overlap, fed to an SVM that separates
-// via-misalignment-style hotspots that neither single layer reveals.
+// Multilayer demonstrates the §IV-A extension with the repository's
+// multilayer detector: core.TrainMultiLayer on generated two-metal clips
+// whose hotspots are via landings too small to yield, a relation between
+// the layers that neither layer alone reveals. Topological classification
+// runs on metal 1; each cluster's kernel sees both layers' feature sets
+// plus their overlap set. A held-out set is then classified clip by clip.
 //
 //	go run ./examples/multilayer
 package main
@@ -8,63 +11,37 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"hotspot/internal/features"
-	"hotspot/internal/geom"
-	"hotspot/internal/svm"
+	"hotspot/internal/clip"
+	"hotspot/internal/core"
+	"hotspot/internal/iccad"
 )
 
-const window = 1200
-
-// sample builds a two-layer pattern: metal1 carries a horizontal bar,
-// metal2 a vertical bar. The overlap (the via landing zone) shrinks with
-// the misalignment parameter; small overlaps are the hotspot class.
-func sample(rng *rand.Rand, hotspot bool) ([][]geom.Rect, int) {
-	var offset geom.Coord
-	if hotspot {
-		offset = geom.Coord(140 + rng.Intn(60)) // landing almost gone
-	} else {
-		offset = geom.Coord(rng.Intn(60)) // healthy overlap
-	}
-	m1 := []geom.Rect{geom.R(0, 500, window, 700)}
-	m2 := []geom.Rect{geom.R(500+offset, 0, 700+offset, window)}
-	label := -1
-	if hotspot {
-		label = +1
-	}
-	return [][]geom.Rect{m1, m2}, label
-}
-
 func main() {
-	rng := rand.New(rand.NewSource(1))
-	win := geom.R(0, 0, window, window)
-
-	var rows [][]float64
-	var labels []int
-	for i := 0; i < 120; i++ {
-		layers, label := sample(rng, i%2 == 0)
-		set := features.ExtractMultiLayer(layers, win)
-		rows = append(rows, set.Vector(win, 6))
-		labels = append(labels, label)
-	}
-	scaler := svm.FitScaler(rows)
-	model, err := svm.Train(scaler.ApplyAll(rows), labels, svm.Params{C: 100, Gamma: 0.5})
+	train := iccad.GenerateMultiLayer(iccad.MLConfig{HS: 30, NHS: 90, Seed: 1})
+	test := iccad.GenerateMultiLayer(iccad.MLConfig{HS: 20, NHS: 60, Seed: 2})
+	d, err := core.TrainMultiLayer(train, 0, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	correct, total := 0, 0
-	for i := 0; i < 200; i++ {
-		layers, label := sample(rng, i%2 == 0)
-		set := features.ExtractMultiLayer(layers, win)
-		x := scaler.Apply(set.Vector(win, 6))
-		if model.Predict(x) == label {
+	correct, hits, actual := 0, 0, 0
+	for _, p := range test {
+		got := d.ClassifyPattern(p)
+		if got == p.Label {
 			correct++
 		}
-		total++
+		if p.Label == clip.Hotspot {
+			actual++
+			if got == clip.Hotspot {
+				hits++
+			}
+		}
 	}
-	fmt.Printf("multilayer features: %d per-layer sets + %d overlap set per pattern\n", 2, 1)
-	fmt.Printf("held-out accuracy on via-misalignment hotspots: %.1f%% (%d/%d)\n",
-		100*float64(correct)/float64(total), correct, total)
+	fmt.Printf("multilayer detector: %d kernels from %d training clips (classified on layer 0)\n",
+		d.NumKernels(), len(train))
+	fmt.Printf("held-out accuracy: %.1f%% (%d/%d)\n",
+		100*float64(correct)/float64(len(test)), correct, len(test))
+	fmt.Printf("held-out hit rate: %.1f%% (%d/%d via-landing hotspots)\n",
+		100*float64(hits)/float64(actual), hits, actual)
 }

@@ -102,22 +102,6 @@ func (p *Pattern) AppendCoreRects(dst []geom.Rect) []geom.Rect {
 	return out
 }
 
-// Normalized returns a copy of the pattern translated so that the window's
-// bottom-left corner is the origin.
-func (p *Pattern) Normalized() *Pattern {
-	dx, dy := -p.Window.X0, -p.Window.Y0
-	out := &Pattern{
-		Window: p.Window.Translate(dx, dy),
-		Core:   p.Core.Translate(dx, dy),
-		Rects:  make([]geom.Rect, len(p.Rects)),
-		Label:  p.Label,
-	}
-	for i, r := range p.Rects {
-		out.Rects[i] = r.Translate(dx, dy)
-	}
-	return out
-}
-
 // Shifted returns a copy of the pattern whose core is moved by (dx, dy)
 // while the geometry stays put — the data-shifting upsampling of §III-D3.
 // The window moves with the core; geometry is re-clipped to the new window.
@@ -138,21 +122,6 @@ func (p *Pattern) Shifted(dx, dy geom.Coord, all []geom.Rect) *Pattern {
 		}
 	}
 	return out
-}
-
-// Density returns the fraction of the core area covered by geometry.
-func (p *Pattern) Density() float64 {
-	if p.Core.Empty() {
-		return 0
-	}
-	var clipped []geom.Rect
-	for _, r := range p.Rects {
-		c := r.Intersect(p.Core)
-		if !c.Empty() {
-			clipped = append(clipped, c)
-		}
-	}
-	return float64(geom.TotalArea(clipped)) / float64(p.Core.Area())
 }
 
 // FromLayout materializes a pattern at core origin p from layout geometry.

@@ -41,32 +41,6 @@ func TestSpec(t *testing.T) {
 	}
 }
 
-func TestPatternNormalizeAndDensity(t *testing.T) {
-	p := &Pattern{
-		Window: geom.R(1000, 1000, 5800, 5800),
-		Core:   geom.R(2800, 2800, 4000, 4000),
-		Rects:  []geom.Rect{geom.R(2800, 2800, 3400, 4000)},
-		Label:  Hotspot,
-	}
-	n := p.Normalized()
-	if n.Window != geom.R(0, 0, 4800, 4800) {
-		t.Fatalf("normalized window: %v", n.Window)
-	}
-	if n.Core != geom.R(1800, 1800, 3000, 3000) {
-		t.Fatalf("normalized core: %v", n.Core)
-	}
-	if n.Rects[0] != geom.R(1800, 1800, 2400, 3000) {
-		t.Fatalf("normalized rect: %v", n.Rects[0])
-	}
-	if n.Label != Hotspot {
-		t.Fatal("label lost")
-	}
-	// Density: rect covers half the core.
-	if d := p.Density(); d != 0.5 {
-		t.Fatalf("density: %v", d)
-	}
-}
-
 func TestPatternShifted(t *testing.T) {
 	all := []geom.Rect{geom.R(0, 0, 10000, 100)}
 	p := &Pattern{
@@ -282,39 +256,6 @@ func TestWindowScanCountMatchesPaperFormula(t *testing.T) {
 	bounds = geom.R(0, 0, 222000, 222000)
 	if got := WindowScanCount(bounds, DefaultSpec, 0.5); got != 136900 {
 		t.Fatalf("window count: %d, want 136900", got)
-	}
-}
-
-func TestWindowScanPositions(t *testing.T) {
-	bounds := geom.R(0, 0, 3000, 1800)
-	cands := WindowScan(bounds, DefaultSpec, 0.5)
-	for _, c := range cands {
-		core := DefaultSpec.CoreFor(c.At)
-		if !bounds.ContainsRect(core) {
-			t.Fatalf("core %v escapes bounds", core)
-		}
-	}
-	if len(cands) != 4*2 { // x: 0,600,1200,1800; y: 0,600
-		t.Fatalf("positions: %d", len(cands))
-	}
-}
-
-func TestMaterialize(t *testing.T) {
-	l := testLayout()
-	cands := Extract(l, 1, DefaultSpec, DefaultRequirements)
-	pats := Materialize(l, 1, DefaultSpec, cands[:3])
-	for i, p := range pats {
-		if p.Window != DefaultSpec.WindowFor(cands[i].At) {
-			t.Fatalf("pattern %d window mismatch", i)
-		}
-		if len(p.Rects) == 0 {
-			t.Fatalf("pattern %d has no geometry", i)
-		}
-		for _, r := range p.Rects {
-			if !p.Window.ContainsRect(r) {
-				t.Fatalf("pattern %d rect %v escapes window", i, r)
-			}
-		}
 	}
 }
 

@@ -370,15 +370,6 @@ func MeetsRequirements(l *layout.Layout, layer layout.Layer, spec Spec, at geom.
 	return true
 }
 
-// Materialize converts candidates into full patterns with geometry.
-func Materialize(l *layout.Layout, layer layout.Layer, spec Spec, cs []Candidate) []*Pattern {
-	out := make([]*Pattern, len(cs))
-	for i, c := range cs {
-		out[i] = FromLayout(l, layer, spec, c.At, 0)
-	}
-	return out
-}
-
 // WindowScanCount returns the clip count of the window-sliding baseline
 // with the given overlap fraction (0.5 in Table V): cores of side
 // spec.CoreSide stepped by CoreSide*(1-overlap) across the layout bounds.
@@ -394,19 +385,4 @@ func WindowScanCount(bounds geom.Rect, spec Spec, overlap float64) int {
 	}
 	ny = max(ny, 1)
 	return nx * ny
-}
-
-// WindowScan enumerates the window-sliding baseline candidate positions.
-func WindowScan(bounds geom.Rect, spec Spec, overlap float64) []Candidate {
-	step := geom.Coord(float64(spec.CoreSide) * (1 - overlap))
-	if step <= 0 {
-		step = 1
-	}
-	var out []Candidate
-	for y := bounds.Y0; y+spec.CoreSide <= bounds.Y1; y += step {
-		for x := bounds.X0; x+spec.CoreSide <= bounds.X1; x += step {
-			out = append(out, Candidate{At: geom.Pt(x, y)})
-		}
-	}
-	return out
 }

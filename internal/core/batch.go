@@ -15,10 +15,10 @@ import (
 // cancellation responsive on full-chip scans.
 const detectChunk = 256
 
-// batchVerdict is one clip's multiple-kernel outcome from evalBatch; it
-// mirrors multiKernelEval's returns so the batched and scalar evaluation
-// paths report identical flags, kernel indices, confidences, and kernel
-// evaluation counts.
+// batchVerdict is one clip's multiple-kernel outcome from evalBatchScratch:
+// whether any kernel flags it, the index of the first flagging kernel, the
+// flag's confidence (the maximum decision over all kernels) and the number
+// of kernel decisions a per-clip evaluation would perform.
 type batchVerdict struct {
 	flagged bool
 	kidx    int
@@ -63,27 +63,19 @@ func (d *Detector) basicOnly() bool {
 	return len(d.kernels) == 1 && d.kernels[0].key == ""
 }
 
-// evalBatch is the batched counterpart of multiKernelEval: the verdict memo
-// resolves the geometries it has seen, then features are extracted once
-// per remaining clip and every kernel evaluates the batch through
-// svm.Model.DecisionBatch. Because the batched decision is bit-for-bit
-// equal to the scalar one and the memo is verdict-preserving, each
-// verdict matches what multiKernelEval would have returned for that clip —
-// including the flagging-kernel index and the kernel-evaluation count.
+// evalBatchScratch runs the multiple-kernel evaluation (§III-D4) of a
+// batch of clips: the verdict memo resolves the geometries it has seen,
+// then features are extracted once per remaining clip and every kernel
+// evaluates the batch through svm.Model.DecisionBatchInto. Because the
+// batched decision is bit-for-bit equal to the scalar one and the memo is
+// verdict-preserving, each verdict matches a per-clip evaluation of that
+// clip — including the flagging-kernel index and the kernel-evaluation
+// count (TestClassifyBatchMatchesScalar checks it against a scalar
+// reference).
 //
-// This compatibility wrapper allocates the returned verdicts; the hot
-// loops hold an evalScratch and call evalBatchScratch directly.
-func (d *Detector) evalBatch(ps []*clip.Pattern, cfg Config) []batchVerdict {
-	s := getScratch()
-	out := append([]batchVerdict(nil), d.evalBatchScratch(s, ps, cfg)...)
-	putScratch(s)
-	return out
-}
-
-// evalBatchScratch is evalBatch into a caller-held scratch. The returned
-// slice is s.vs — valid until the next call that uses s. In the steady
-// state (every clip resolved by the memo, Workers <= 1, no registry
-// attached) the call performs zero heap allocations, which
+// The returned slice is s.vs — valid until the next call that uses s. In
+// the steady state (every clip resolved by the memo, Workers <= 1, no
+// registry attached) the call performs zero heap allocations, which
 // TestEvalBatchZeroAlloc locks in.
 func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Config) []batchVerdict {
 	n := len(ps)
@@ -290,7 +282,7 @@ func (d *Detector) evalLiveAllKernels(s *evalScratch, live []int, cfg Config) {
 // stops per clip at its first flagging kernel, so the verdicts (and the
 // per-clip evaluation counts) match the scalar routed loop exactly; a
 // final batched pass over all kernels computes the flagged clips'
-// confidences, as multiKernelEval does.
+// confidences, as for unrouted clips.
 func (d *Detector) evalLiveRouted(s *evalScratch, ps []*clip.Pattern, live []int, cfg Config) {
 	vs := s.vs
 	m := len(live)
@@ -394,22 +386,14 @@ func (s *evalScratch) kernelRowFor(k *kernelUnit, u, t int) []float64 {
 	return row
 }
 
-// feedbackBatch applies the feedback kernel to a batch's flagged clips in
-// one batched decision, honouring the same gates as feedbackReclaims:
+// feedbackBatchScratch applies the feedback kernel to a batch's flagged
+// clips in one batched decision over their whole windows (core + ambit):
 // confidently flagged clips (conf >= FeedbackOverride, when the override
 // is armed) are never reclaimed, and a reclaim requires the feedback
-// decision clearly on the nonhotspot side (below -FeedbackMargin).
-// Compatibility wrapper; hot loops use feedbackBatchScratch.
-func (d *Detector) feedbackBatch(ps []*clip.Pattern, vs []batchVerdict, cfg Config) []bool {
-	s := getScratch()
-	out := append([]bool(nil), d.feedbackBatchScratch(s, ps, vs, cfg)...)
-	putScratch(s)
-	return out
-}
-
-// feedbackBatchScratch is feedbackBatch into a caller-held scratch; the
-// returned slice is valid until the next call that uses s. A batch with no
-// feedback candidates performs no allocation.
+// decision clearly on the nonhotspot side (below -FeedbackMargin), so
+// accuracy is not sacrificed for false-alarm reduction. The returned slice
+// is valid until the next call that uses s. A batch with no feedback
+// candidates performs no allocation.
 func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs []batchVerdict, cfg Config) []bool {
 	if cap(s.reclaimed) < len(ps) {
 		s.reclaimed = make([]bool, len(ps))
@@ -463,9 +447,9 @@ func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs [
 	return reclaimed
 }
 
-// ClassifyBatch evaluates many standalone clips at once — the batched
-// counterpart of calling ClassifyPattern per clip, with identical labels.
-// One configuration snapshot covers the whole batch; the SVM work runs
+// ClassifyBatch evaluates many standalone clips at once, returning each
+// clip's predicted label (after the feedback kernel when present). One
+// configuration snapshot covers the whole batch; the SVM work runs
 // through the flat batched decision path behind the verdict memo.
 // Safe for concurrent use.
 func (d *Detector) ClassifyBatch(ps []*clip.Pattern) []clip.Label {

@@ -9,14 +9,23 @@ import (
 	"hotspot/internal/workerpanic"
 )
 
-// TestClassifyBatchMatchesScalar pins the batched evaluation path to the
-// per-clip one: over the whole training set (hotspots, nonhotspots, and
-// their shifted derivatives), ClassifyBatch must produce exactly the
-// labels a ClassifyPattern loop does. Because DecisionBatch is bit-for-bit
-// equal to scalar Decision, any divergence here is a routing/feedback
-// bookkeeping bug, not numerics.
+// TestClassifyBatchMatchesScalar pins the batched evaluation engine to the
+// scalar reference (scalar_test.go): over the whole training set
+// (hotspots, nonhotspots, and their shifted derivatives), ClassifyBatch and
+// ClassifyPattern must produce exactly the labels the per-clip chain does.
+// Each configuration runs at one and at four workers, which takes both the
+// serial and the parallel forks of evalLive* and feedbackBatchScratch on
+// any host, and at a raised bias, which moves the memo's key. The memo is
+// emptied before each cold pass so every fork evaluates; a warm
+// ClassifyBatch pass then answers from the memo. Because DecisionBatch is
+// bit-for-bit equal to scalar Decision, any divergence here is a
+// routing/feedback bookkeeping bug, not numerics.
 func TestClassifyBatchMatchesScalar(t *testing.T) {
 	b := testBenchmark()
+	ps := make([]*clip.Pattern, 0, 2*len(b.Train))
+	for _, p := range b.Train {
+		ps = append(ps, p, p.Shifted(40, -25, nil))
+	}
 	for name, cfg := range map[string]Config{
 		"default": DefaultConfig(),
 		"routed": func() Config {
@@ -33,18 +42,40 @@ func TestClassifyBatchMatchesScalar(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			d := trainedDetector(t, cfg)
-			ps := make([]*clip.Pattern, 0, 2*len(b.Train))
-			for _, p := range b.Train {
-				ps = append(ps, p, p.Shifted(40, -25, nil))
-			}
-			got := d.ClassifyBatch(ps)
-			if len(got) != len(ps) {
-				t.Fatalf("ClassifyBatch returned %d labels for %d clips", len(got), len(ps))
-			}
-			for i, p := range ps {
-				if want := d.ClassifyPattern(p); got[i] != want {
-					t.Fatalf("%s: clip %d: batch %v, scalar %v", name, i, got[i], want)
+			base := d.config()
+			defer d.SetWorkers(base.Workers)
+			defer d.SetBias(base.Bias)
+			for _, v := range []struct {
+				workers int
+				bias    float64
+			}{{1, base.Bias}, {4, base.Bias}, {1, 0.75}, {4, 0.75}} {
+				d.SetWorkers(v.workers)
+				d.SetBias(v.bias)
+				want := make([]clip.Label, len(ps))
+				for i, p := range ps {
+					want[i] = d.classifyScalar(p, d.config())
 				}
+				check := func(pass string, got []clip.Label) {
+					t.Helper()
+					if len(got) != len(ps) {
+						t.Fatalf("%s: %d labels for %d clips", pass, len(got), len(ps))
+					}
+					for i := range ps {
+						if got[i] != want[i] {
+							t.Fatalf("workers %d bias %v, %s: clip %d: %v, scalar %v",
+								v.workers, v.bias, pass, i, got[i], want[i])
+						}
+					}
+				}
+				d.memo.Store(nil)
+				check("cold ClassifyBatch", d.ClassifyBatch(ps))
+				d.memo.Store(nil)
+				lone := make([]clip.Label, len(ps))
+				for i, p := range ps {
+					lone[i] = d.ClassifyPattern(p)
+				}
+				check("cold ClassifyPattern", lone)
+				check("warm ClassifyBatch", d.ClassifyBatch(ps))
 			}
 		})
 	}

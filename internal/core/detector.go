@@ -92,12 +92,6 @@ type kernelUnit struct {
 	hotspots []*clip.Pattern
 }
 
-// vector extracts a pattern's core-region feature vector in this kernel's
-// layout (unscaled).
-func (k *kernelUnit) vector(p *clip.Pattern) []float64 {
-	return k.extractor.Vector(p.CoreRects(), p.Core)
-}
-
 // feedbackUnit is the §III-D4 feedback kernel: trained on whole-window
 // (core + ambit) features to separate true hotspots from the nonhotspot
 // centroids the multiple kernels mispredict.

@@ -198,14 +198,14 @@ func TestEvalBatchZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.evalBatchScratch(s, ps, cfg)
 	}); allocs != 0 {
-		t.Fatalf("steady-state evalBatch allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state evalBatchScratch allocates %.1f objects/op, want 0", allocs)
 	}
 
 	clean := make([]batchVerdict, len(ps)) // no flags: nothing to reclaim
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.feedbackBatchScratch(s, ps, clean, cfg)
 	}); allocs != 0 {
-		t.Fatalf("steady-state feedbackBatch allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state feedbackBatchScratch allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -4,15 +4,9 @@ import (
 	"slices"
 	"sort"
 
-	"hotspot/internal/clip"
-	"hotspot/internal/features"
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 )
-
-func vectorDirectCore(p *clip.Pattern, slots int) []float64 {
-	return features.VectorDirect(p.CoreRects(), p.Core, slots)
-}
 
 // RemoveRedundant implements redundant clip removal (§III-F, Fig. 12):
 // reported cores are merged into regions by core overlap, dense regions are

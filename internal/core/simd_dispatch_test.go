@@ -166,6 +166,6 @@ func TestEvalBatchZeroAllocPortable(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.evalBatchScratch(s, ps, cfg)
 	}); allocs != 0 {
-		t.Fatalf("steady-state evalBatch allocates %.1f objects/op under portable dispatch, want 0", allocs)
+		t.Fatalf("steady-state evalBatchScratch allocates %.1f objects/op under portable dispatch, want 0", allocs)
 	}
 }

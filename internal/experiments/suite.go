@@ -30,9 +30,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions runs the full-size suite.
-func DefaultOptions() Options { return Options{Scale: 1, Workers: 0} }
-
 // Suite caches generated benchmarks across experiments.
 type Suite struct {
 	opts Options

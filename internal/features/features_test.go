@@ -185,7 +185,7 @@ func TestExtractorOrientationStable(t *testing.T) {
 
 func TestExtractorDim(t *testing.T) {
 	e := NewExtractor(twoBars(), win())
-	if e.Dim() != e.NumSlots()*SlotDim+NonTopoDim {
+	if e.Dim() != len(e.slots)*SlotDim+NonTopoDim {
 		t.Fatalf("dim: %d", e.Dim())
 	}
 	v := e.Vector(twoBars(), win())

@@ -43,9 +43,6 @@ func (e *Extractor) Slots() []RuleRect {
 // Dim returns the feature-vector length.
 func (e *Extractor) Dim() int { return len(e.slots)*SlotDim + NonTopoDim }
 
-// NumSlots returns the number of rule-rectangle slots.
-func (e *Extractor) NumSlots() int { return len(e.slots) }
-
 // canonicalize translates the pattern to the origin and applies its
 // canonical orientation, returning the transformed rects and window and the
 // pattern's canonical topology key.

@@ -131,6 +131,14 @@ func TestTotalAreaRandomAgainstGrid(t *testing.T) {
 	}
 }
 
+// rectPolygon returns the four-vertex polygon covering r, counterclockwise
+// from the lower-left corner.
+func rectPolygon(r Rect) Polygon {
+	return Polygon{Pts: []Point{
+		{r.X0, r.Y0}, {r.X1, r.Y0}, {r.X1, r.Y1}, {r.X0, r.Y1},
+	}}
+}
+
 func TestPolygonValidate(t *testing.T) {
 	bad := Polygon{Pts: []Point{{0, 0}, {5, 5}, {5, 0}, {0, 5}}}
 	if err := bad.Validate(); err == nil {
@@ -140,7 +148,7 @@ func TestPolygonValidate(t *testing.T) {
 	if err := short.Validate(); err == nil {
 		t.Fatal("3-vertex polygon must fail validation")
 	}
-	ok := RectPolygon(R(0, 0, 5, 5))
+	ok := rectPolygon(R(0, 0, 5, 5))
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("rect polygon must validate: %v", err)
 	}
@@ -184,7 +192,7 @@ func TestPolygonRectsClockwise(t *testing.T) {
 
 func TestPolygonRectsShapes(t *testing.T) {
 	shapes := map[string]Polygon{
-		"rect": RectPolygon(R(2, 3, 9, 7)),
+		"rect": rectPolygon(R(2, 3, 9, 7)),
 		"U": {Pts: []Point{
 			{0, 0}, {12, 0}, {12, 10}, {8, 10}, {8, 4}, {4, 4}, {4, 10}, {0, 10},
 		}},
@@ -230,56 +238,24 @@ func checkDecomposition(t *testing.T, p Polygon, rects []Rect) {
 	}
 }
 
-func TestHSlices(t *testing.T) {
-	// Two rects forming an L: slices must be maximal horizontal strips.
-	rects := []Rect{R(0, 0, 10, 5), R(0, 5, 5, 10)}
-	slices := HSlices(rects)
-	if TotalArea(slices) != TotalArea(rects) {
-		t.Fatalf("HSlices changed area: %d vs %d", TotalArea(slices), TotalArea(rects))
+// inverse returns the orientation that undoes o: mirror-rotations are
+// involutions in this parameterization, rotations invert mod 4.
+func inverse(o Orientation) Orientation {
+	if o >= MirRot0 {
+		return o
 	}
-	for i, s := range slices {
-		for j := i + 1; j < len(slices); j++ {
-			if s.Overlaps(slices[j]) {
-				t.Fatalf("slices overlap: %v %v", s, slices[j])
-			}
-		}
-	}
-}
-
-func TestHSlicesMergesAbuttingX(t *testing.T) {
-	rects := []Rect{R(0, 0, 5, 10), R(5, 0, 10, 10)}
-	slices := HSlices(rects)
-	if len(slices) != 1 || slices[0] != (Rect{0, 0, 10, 10}) {
-		t.Fatalf("expected single merged slice, got %v", slices)
-	}
+	return Orientation((4 - int(o)) % 4)
 }
 
 func TestOrientationPointRoundTrip(t *testing.T) {
 	const s = 100
 	for _, o := range AllOrientations {
-		inv := o.Inverse()
+		inv := inverse(o)
 		for _, p := range []Point{{0, 0}, {10, 20}, {99, 1}, {50, 50}} {
 			q := o.ApplyToPoint(p, s)
 			back := inv.ApplyToPoint(q, s)
 			if back != p {
 				t.Fatalf("%v: %v -> %v -> %v (inverse %v)", o, p, q, back, inv)
-			}
-		}
-	}
-}
-
-func TestOrientationCompose(t *testing.T) {
-	const s = 64
-	pts := []Point{{0, 0}, {1, 2}, {30, 40}, {63, 0}}
-	for _, a := range AllOrientations {
-		for _, b := range AllOrientations {
-			c := Compose(a, b)
-			for _, p := range pts {
-				want := b.ApplyToPoint(a.ApplyToPoint(p, s), s)
-				got := c.ApplyToPoint(p, s)
-				if got != want {
-					t.Fatalf("Compose(%v,%v)=%v: point %v got %v want %v", a, b, c, p, got, want)
-				}
 			}
 		}
 	}
@@ -295,20 +271,6 @@ func TestOrientationRectPreservesArea(t *testing.T) {
 		}
 		if m.X0 < 0 || m.Y0 < 0 || m.X1 > s || m.Y1 > s {
 			t.Fatalf("%v escaped window: %v", o, m)
-		}
-	}
-}
-
-func TestOrientationGroupClosure(t *testing.T) {
-	// D8 is closed and every element has an inverse: composing all pairs
-	// must land in the set, and o * o^-1 must be identity on points.
-	const s = 16
-	for _, o := range AllOrientations {
-		id := Compose(o, o.Inverse())
-		for _, p := range []Point{{3, 5}, {0, 0}, {15, 7}} {
-			if id.ApplyToPoint(p, s) != p {
-				t.Fatalf("%v composed with inverse is not identity", o)
-			}
 		}
 	}
 }

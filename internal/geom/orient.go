@@ -48,33 +48,6 @@ func (o Orientation) String() string {
 	return "R?"
 }
 
-// Compose returns the orientation equivalent to applying o first, then q.
-func Compose(o, q Orientation) Orientation {
-	om, or := o >= MirRot0, int(o&3)
-	qm, qr := q >= MirRot0, int(q&3)
-	var rot int
-	if qm {
-		// Mirror then rotate: mirror conjugates the rotation.
-		rot = (qr - or + 8) % 4
-	} else {
-		rot = (qr + or) % 4
-	}
-	mir := om != qm
-	out := Orientation(rot)
-	if mir {
-		out += MirRot0
-	}
-	return out
-}
-
-// Inverse returns the orientation that undoes o.
-func (o Orientation) Inverse() Orientation {
-	if o >= MirRot0 {
-		return o // mirror-rotations are involutions in this parameterization
-	}
-	return Orientation((4 - int(o)) % 4)
-}
-
 // ApplyToPoint maps p, given inside the square window [0,s)x[0,s), to its
 // location under orientation o of the same window.
 func (o Orientation) ApplyToPoint(p Point, s Coord) Point {

@@ -17,14 +17,6 @@ type Polygon struct {
 // edge (both coordinates change between consecutive vertices).
 var ErrNotRectilinear = errors.New("geom: polygon edge is not axis-aligned")
 
-// RectPolygon returns the four-vertex polygon covering r, counterclockwise
-// from the lower-left corner.
-func RectPolygon(r Rect) Polygon {
-	return Polygon{Pts: []Point{
-		{r.X0, r.Y0}, {r.X1, r.Y0}, {r.X1, r.Y1}, {r.X0, r.Y1},
-	}}
-}
-
 // Validate checks that the polygon is rectilinear and has at least four
 // vertices.
 func (p Polygon) Validate() error {
@@ -217,46 +209,6 @@ func mergeAdjacentRects(rects []Rect) []Rect {
 		} else {
 			out = append(out, r)
 		}
-	}
-	return out
-}
-
-// HSlices slices a set of rectangles (assumed disjoint, from one polygon)
-// into maximal horizontal strips: rectangles whose y-spans are the atomic
-// strips induced by all rectangle y-coordinates. The result is the canonical
-// horizontal trapezoidal decomposition used by polygon dissection (§III-E).
-func HSlices(rects []Rect) []Rect {
-	if len(rects) == 0 {
-		return nil
-	}
-	ys := make([]Coord, 0, 2*len(rects))
-	for _, r := range rects {
-		ys = append(ys, r.Y0, r.Y1)
-	}
-	ys = dedupSorted(ys)
-	var out []Rect
-	for i := 0; i+1 < len(ys); i++ {
-		y0, y1 := ys[i], ys[i+1]
-		var xs [][2]Coord
-		for _, r := range rects {
-			if r.Y0 <= y0 && r.Y1 >= y1 {
-				xs = append(xs, [2]Coord{r.X0, r.X1})
-			}
-		}
-		if len(xs) == 0 {
-			continue
-		}
-		sort.Slice(xs, func(a, b int) bool { return xs[a][0] < xs[b][0] })
-		curLo, curHi := xs[0][0], xs[0][1]
-		for _, seg := range xs[1:] {
-			if seg[0] > curHi {
-				out = append(out, Rect{curLo, y0, curHi, y1})
-				curLo, curHi = seg[0], seg[1]
-			} else if seg[1] > curHi {
-				curHi = seg[1]
-			}
-		}
-		out = append(out, Rect{curLo, y0, curHi, y1})
 	}
 	return out
 }

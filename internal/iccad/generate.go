@@ -146,9 +146,6 @@ func classifyMotif(m Motif) motifClass {
 	return motifHot
 }
 
-// labelMotif reports whether the motif is a (clean) hotspot; used by tests.
-func labelMotif(m Motif) bool { return classifyMotif(m) == motifHot }
-
 // collectMotifs draws motifs from rng (serially, for determinism), labels
 // them in parallel batches, and returns the first `want` whose verdict
 // matches wantHot. It gives up after a generous try budget.

@@ -18,10 +18,10 @@ func TestMotifFamiliesProduceBothLabels(t *testing.T) {
 		hotRisky, safeSafe := 0, 0
 		const n = 30
 		for i := 0; i < n; i++ {
-			if labelMotif(family(rng, true)) {
+			if classifyMotif(family(rng, true)) == motifHot {
 				hotRisky++
 			}
-			if !labelMotif(family(rng, false)) {
+			if classifyMotif(family(rng, false)) != motifHot {
 				safeSafe++
 			}
 		}

@@ -150,8 +150,3 @@ func (g *Grid) Indices(window geom.Rect, dst []int) []int {
 func (g *Grid) canonical(r geom.Rect, x, y, qx0, qy0 int) bool {
 	return max(g.cellX(r.X0), qx0) == x && max(g.cellY(r.Y0), qy0) == y
 }
-
-// Count returns the number of indexed rectangles overlapping window.
-func (g *Grid) Count(window geom.Rect) int {
-	return len(g.Query(window, nil))
-}

@@ -157,16 +157,6 @@ func (l *Layout) QueryClipped(layer Layer, window geom.Rect, dst []geom.Rect) []
 	return out
 }
 
-// DensityIn returns the fraction of window covered by layer polygons,
-// counting overlaps once.
-func (l *Layout) DensityIn(layer Layer, window geom.Rect) float64 {
-	if window.Empty() {
-		return 0
-	}
-	clipped := l.QueryClipped(layer, window, nil)
-	return float64(geom.TotalArea(clipped)) / float64(window.Area())
-}
-
 // FromGDS flattens the given top structure of a parsed GDSII library into a
 // Layout. Boundary polygons are decomposed into rectangles; paths become
 // per-segment rectangles.

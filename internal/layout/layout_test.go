@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"hotspot/internal/gds"
 	"hotspot/internal/geom"
@@ -233,19 +232,6 @@ func TestQueryClippedAndDensity(t *testing.T) {
 	if len(got) != 1 || got[0] != geom.R(5, 5, 10, 10) {
 		t.Fatalf("clipped: %v", got)
 	}
-	if d := l.DensityIn(1, window); d != 0.25 {
-		t.Fatalf("density: %v", d)
-	}
-	if d := l.DensityIn(1, geom.R(100, 100, 110, 110)); d != 0 {
-		t.Fatalf("empty density: %v", d)
-	}
-	// Overlapping rectangles must not double-count.
-	l2 := New("t2")
-	l2.AddRect(1, geom.R(0, 0, 10, 10))
-	l2.AddRect(1, geom.R(0, 0, 10, 10))
-	if d := l2.DensityIn(1, geom.R(0, 0, 10, 10)); d != 1 {
-		t.Fatalf("overlap density: %v", d)
-	}
 }
 
 func TestGDSRoundTrip(t *testing.T) {
@@ -275,23 +261,6 @@ func TestGDSRoundTrip(t *testing.T) {
 	}
 	if l2.Bounds != l.Bounds {
 		t.Fatalf("bounds mismatch: %v vs %v", l2.Bounds, l.Bounds)
-	}
-}
-
-func TestQuickDensityBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := New("q")
-		for i := 0; i < 20; i++ {
-			x := geom.Coord(rng.Intn(1000))
-			y := geom.Coord(rng.Intn(1000))
-			l.AddRect(1, geom.R(x, y, x+geom.Coord(1+rng.Intn(200)), y+geom.Coord(1+rng.Intn(200))))
-		}
-		d := l.DensityIn(1, geom.R(0, 0, 1200, 1200))
-		return d >= 0 && d <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -336,25 +336,3 @@ func (t Tiling) BoundaryEdges(i int) int {
 	}
 	return n
 }
-
-// Blocks returns the indices of block tiles.
-func (t Tiling) Blocks() []int {
-	var out []int
-	for i, tile := range t.Tiles {
-		if tile.Block {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Spaces returns the indices of space tiles.
-func (t Tiling) Spaces() []int {
-	var out []int
-	for i, tile := range t.Tiles {
-		if !tile.Block {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -26,10 +26,21 @@ func TestSingleBlockTiling(t *testing.T) {
 		t.Fatalf("tile count: %d, want 5 (%+v)", len(tl.Tiles), tl.Tiles)
 	}
 	checkPartition(t, tl)
-	blocks := tl.Blocks()
+	blocks := blockTiles(tl)
 	if len(blocks) != 1 || tl.Tiles[blocks[0]].R != geom.R(40, 40, 60, 60) {
 		t.Fatalf("block tiles: %v", blocks)
 	}
+}
+
+// blockTiles returns the indices of tl's block tiles.
+func blockTiles(tl Tiling) []int {
+	var out []int
+	for i, tile := range tl.Tiles {
+		if tile.Block {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // checkPartition verifies the tiles exactly partition the window.

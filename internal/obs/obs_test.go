@@ -144,18 +144,18 @@ func TestSpanNesting(t *testing.T) {
 	var tel Telemetry
 	r := NewRegistry()
 	parent := Begin(&tel, r, "train")
-	child := parent.Child("classify")
+	child := Begin(&tel, r, "train/classify")
 	child.AddItems(12)
 	time.Sleep(time.Millisecond)
 	if d := child.End(); d <= 0 {
 		t.Fatalf("child duration: %v", d)
 	}
-	grand := parent.Child("kernels").Child("self-train")
+	grand := Begin(&tel, r, "train/kernels/self-train")
 	grand.End()
 	parent.AddItems(3)
 	parentDur := parent.End()
 
-	// Children end before the parent, names join with "/".
+	// Spans record in the order they end: inner spans before the outer.
 	wantOrder := []string{"train/classify", "train/kernels/self-train", "train"}
 	if len(tel.Stages) != len(wantOrder) {
 		t.Fatalf("stages: %+v", tel.Stages)
@@ -225,7 +225,6 @@ func TestNilRegistryDisabled(t *testing.T) {
 		h.ObserveDuration(time.Millisecond)
 		sp := Begin(nil, r, "stage")
 		sp.AddItems(4)
-		sp.Child("sub").End()
 		sp.End()
 	})
 	if allocs != 0 {

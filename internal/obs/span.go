@@ -113,15 +113,6 @@ func Begin(tel *Telemetry, reg *Registry, name string) *Span {
 	return &Span{tel: tel, reg: reg, name: name, start: time.Now()}
 }
 
-// Child starts a nested span named "parent/child" sharing the parent's
-// sinks. On a nil span it returns nil.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return Begin(s.tel, s.reg, s.name+"/"+name)
-}
-
 // AddItems accumulates the span's item count.
 func (s *Span) AddItems(n int64) {
 	if s == nil {

@@ -99,7 +99,6 @@ type Store struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	path    string
 	entries map[string][]Candidate
 	bytes   int64
 	hits    int64
@@ -119,7 +118,7 @@ type Store struct {
 // Without reuse the file is always recreated, which is how a caller
 // forces a cold scan that rebuilds the store.
 func OpenStore(path, digest string, reuse bool) (*Store, error) {
-	st := &Store{path: path, entries: map[string][]Candidate{}}
+	st := &Store{entries: map[string][]Candidate{}}
 	if reuse {
 		if err := st.load(path, digest); err != nil {
 			return nil, err
@@ -472,9 +471,6 @@ func (st *Store) Stats() StoreStats {
 		Invalidated: st.invalidated,
 	}
 }
-
-// Path returns the store's file path.
-func (st *Store) Path() string { return st.path }
 
 // Close flushes and closes the store file. Safe after partial writes:
 // every Put already flushed its own line.

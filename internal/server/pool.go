@@ -50,23 +50,21 @@ type pool struct {
 	wg        sync.WaitGroup
 	batchSize int
 	batchWait time.Duration
-	classify  func(*clip.Pattern) clip.Label
-	// classifyBatch, when set, classifies a coalesced batch in one call
-	// (the detector's flat batched SVM path); nil falls back to per-clip
-	// classify calls.
-	classifyBatch func([]*clip.Pattern) []clip.Label
-	reg           *obs.Registry
+	// classify labels a batch of clips in one call (the detector's batched
+	// path behind its verdict memo): a coalesced batch, a lone clip and
+	// the stop-time drain alike.
+	classify func([]*clip.Pattern) []clip.Label
+	reg      *obs.Registry
 }
 
-func newPool(workers, queueSize, batchSize int, batchWait time.Duration, classify func(*clip.Pattern) clip.Label, classifyBatch func([]*clip.Pattern) []clip.Label, reg *obs.Registry) *pool {
+func newPool(workers, queueSize, batchSize int, batchWait time.Duration, classify func([]*clip.Pattern) []clip.Label, reg *obs.Registry) *pool {
 	p := &pool{
-		queue:         make(chan *task, queueSize),
-		stop:          make(chan struct{}),
-		batchSize:     batchSize,
-		batchWait:     batchWait,
-		classify:      classify,
-		classifyBatch: classifyBatch,
-		reg:           reg,
+		queue:     make(chan *task, queueSize),
+		stop:      make(chan struct{}),
+		batchSize: batchSize,
+		batchWait: batchWait,
+		classify:  classify,
+		reg:       reg,
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -161,11 +159,10 @@ func (p *pool) collect(first *task) []*task {
 
 // run classifies a batch, skipping tasks whose request context has already
 // expired (their handler has moved on; the buffered result channel makes
-// the send non-blocking either way). With a batched classifier installed,
-// the still-live tasks of a multi-clip batch are classified in one call.
-// A panic while classifying fails the batch's unanswered tasks with a
-// *workerpanic.Error, so their requests answer 500 and the worker lives
-// on to serve the next batch.
+// the send non-blocking either way). The still-live tasks are classified
+// in one call. A panic while classifying fails the batch's unanswered
+// tasks with a *workerpanic.Error, so their requests answer 500 and the
+// worker lives on to serve the next batch.
 func (p *pool) run(batch []*task) {
 	p.reg.Histogram("server.batch.size").Observe(float64(len(batch)))
 	p.reg.Gauge("server.queue.depth").Set(int64(len(p.queue)))
@@ -190,28 +187,17 @@ func (p *pool) run(batch []*task) {
 			}
 		}
 	}()
-	if p.classifyBatch != nil && len(live) > 1 {
-		ps := make([]*clip.Pattern, len(live))
-		for i, t := range live {
-			ps[i] = t.pattern
-		}
-		start := time.Now()
-		labels := p.classifyBatch(ps)
-		perClip := time.Since(start) / time.Duration(len(live))
-		for i, t := range live {
-			p.reg.Histogram("server.classify.seconds").ObserveDuration(perClip)
-			p.reg.Counter("server.clips.classified").Inc()
-			t.result <- taskResult{label: labels[i]}
-			answered++
-		}
-		return
+	ps := make([]*clip.Pattern, len(live))
+	for i, t := range live {
+		ps[i] = t.pattern
 	}
-	for _, t := range live {
-		start := time.Now()
-		label := p.classify(t.pattern)
-		p.reg.Histogram("server.classify.seconds").ObserveDuration(time.Since(start))
+	start := time.Now()
+	labels := p.classify(ps)
+	perClip := time.Since(start) / time.Duration(len(live))
+	for i, t := range live {
+		p.reg.Histogram("server.classify.seconds").ObserveDuration(perClip)
 		p.reg.Counter("server.clips.classified").Inc()
-		t.result <- taskResult{label: label}
+		t.result <- taskResult{label: labels[i]}
 		answered++
 	}
 }

@@ -179,10 +179,10 @@ func NewWithDetector(det *core.Detector, cfg Config) (*Server, error) {
 	return newServer(det, nil, cfg)
 }
 
-// newServer is the shared constructor; classify overrides the pool's
+// newServer is the shared constructor; classify overrides the pool's batch
 // classification function (tests inject slow or gated classifiers here —
 // nil means "classify with the current detector").
-func newServer(det *core.Detector, classify func(*clip.Pattern) clip.Label, cfg Config) (*Server, error) {
+func newServer(det *core.Detector, classify func([]*clip.Pattern) []clip.Label, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
@@ -200,18 +200,12 @@ func newServer(det *core.Detector, classify func(*clip.Pattern) clip.Label, cfg 
 		s.storeDigest = digest
 	}
 	det.SetObs(s.reg)
-	var classifyBatch func([]*clip.Pattern) []clip.Label
 	if classify == nil {
-		classify = func(p *clip.Pattern) clip.Label {
-			return s.detector().ClassifyPattern(p)
-		}
-		// Coalesced multi-clip batches go through the detector's batched
-		// SVM path; an injected classify (tests) keeps the per-clip path.
-		classifyBatch = func(ps []*clip.Pattern) []clip.Label {
+		classify = func(ps []*clip.Pattern) []clip.Label {
 			return s.detector().ClassifyBatch(ps)
 		}
 	}
-	s.pool = newPool(cfg.Workers, cfg.QueueSize, cfg.BatchSize, cfg.BatchWait, classify, classifyBatch, s.reg)
+	s.pool = newPool(cfg.Workers, cfg.QueueSize, cfg.BatchSize, cfg.BatchWait, classify, s.reg)
 	s.reg.PublishExpvar("hotspotd")
 	simd.PublishExpvar()
 	s.ready.Store(true)

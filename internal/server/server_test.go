@@ -21,6 +21,7 @@ import (
 	"hotspot/internal/core"
 	"hotspot/internal/geom"
 	"hotspot/internal/iccad"
+	"hotspot/internal/obs"
 	"hotspot/internal/workerpanic"
 )
 
@@ -51,8 +52,8 @@ func fixture(t testing.TB) (*iccad.Benchmark, *core.Detector) {
 }
 
 // testServer builds a server around the fixture detector; classify == nil
-// uses the real model.
-func testServer(t testing.TB, classify func(*clip.Pattern) clip.Label, cfg Config) *Server {
+// uses the real model, and a per-clip fake is passed through perClip.
+func testServer(t testing.TB, classify func([]*clip.Pattern) []clip.Label, cfg Config) *Server {
 	t.Helper()
 	_, det := fixture(t)
 	s, err := newServer(det, classify, cfg)
@@ -119,8 +120,30 @@ func TestDetectEndpoint(t *testing.T) {
 	}
 }
 
-// TestDetectConcurrent is the acceptance scenario: sustained concurrent
-// batch classification through the shared queue under -race.
+// TestDetectLoneClipUsesMemo: a one-clip /v1/detect request goes through
+// the detector's batched path behind the verdict memo, as a coalesced
+// batch does, so posting the same clip twice looks it up in the memo twice
+// and answers at least the repeat from it.
+func TestDetectLoneClipUsesMemo(t *testing.T) {
+	b, _ := fixture(t)
+	reg := obs.NewRegistry()
+	s := testServer(t, nil, Config{Obs: reg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/detect", clipSetBody(t, b.Train[:1]))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %d: status %d: %s", i, resp.StatusCode, data)
+		}
+	}
+	c := reg.Snapshot().Counters
+	hits, misses := c["eval.memo_hits"], c["eval.memo_misses"]
+	if hits+misses != 2 || hits < 1 {
+		t.Fatalf("eval.memo_hits %d, eval.memo_misses %d; want 2 lookups with at least 1 hit", hits, misses)
+	}
+}
+
 // TestDetectClassifierPanic: a batch classifier that panics fails that
 // batch's request with 500 and the panic value, and the pool worker lives
 // on: /readyz still answers 200 and the next request is classified.
@@ -128,8 +151,8 @@ func TestDetectClassifierPanic(t *testing.T) {
 	b, det := fixture(t)
 	s := testServer(t, nil, Config{Workers: 1, BatchSize: 64, BatchWait: 50 * time.Millisecond})
 	var calls atomic.Int32
-	real := s.pool.classifyBatch
-	s.pool.classifyBatch = func(ps []*clip.Pattern) []clip.Label {
+	real := s.pool.classify
+	s.pool.classify = func(ps []*clip.Pattern) []clip.Label {
 		if calls.Add(1) == 1 {
 			panic("classify boom")
 		}
@@ -168,6 +191,8 @@ func TestDetectClassifierPanic(t *testing.T) {
 	}
 }
 
+// TestDetectConcurrent is the acceptance scenario: sustained concurrent
+// batch classification through the shared queue under -race.
 func TestDetectConcurrent(t *testing.T) {
 	b, _ := fixture(t)
 	s := testServer(t, nil, Config{QueueSize: 4096})
@@ -258,7 +283,7 @@ func TestDetectBackpressure(t *testing.T) {
 		<-gate
 		return clip.NonHotspot
 	}
-	s := testServer(t, classify, Config{Workers: 1, QueueSize: 1, BatchSize: 1, BatchWait: -1})
+	s := testServer(t, perClip(classify), Config{Workers: 1, QueueSize: 1, BatchSize: 1, BatchWait: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -326,7 +351,7 @@ func TestDetectDeadline(t *testing.T) {
 		<-gate
 		return clip.NonHotspot
 	}
-	s := testServer(t, classify, Config{Workers: 1})
+	s := testServer(t, perClip(classify), Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer close(gate)
@@ -732,7 +757,7 @@ func TestGracefulDrain(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return clip.NonHotspot
 	}
-	s := testServer(t, classify, Config{Workers: 2, QueueSize: 64, DrainTimeout: 10 * time.Second})
+	s := testServer(t, perClip(classify), Config{Workers: 2, QueueSize: 64, DrainTimeout: 10 * time.Second})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

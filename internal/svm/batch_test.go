@@ -57,16 +57,12 @@ func checkBatchMatchesScalar(t *testing.T, m *Model, xs [][]float64) {
 	if len(batch) != len(xs) {
 		t.Fatalf("DecisionBatch returned %d values for %d rows", len(batch), len(xs))
 	}
-	platt := &PlattScaler{A: -1.3, B: 0.2}
 	for i, x := range xs {
 		scalar := m.Decision(x)
 		if d := ulpDiff(scalar, batch[i]); d > 1 {
 			t.Fatalf("row %d: scalar %v vs batch %v (%d ulp apart)", i, scalar, batch[i], d)
 		}
-		// The calibrated-probability and bias-shifted paths must agree too.
-		if pb, ps := platt.Prob(batch[i]), platt.Prob(scalar); ulpDiff(pb, ps) > 1 {
-			t.Fatalf("row %d: platt prob %v vs %v", i, pb, ps)
-		}
+		// The bias-shifted paths must agree too.
 		for _, bias := range []float64{-0.5, 0, 0.5} {
 			want := m.PredictWithBias(x, bias)
 			got := -1
@@ -118,18 +114,6 @@ func TestDecisionBatchTrainedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBatchMatchesScalar(t, m, randRows(rng, 97, 2))
-
-	// Calibration goes through DecisionBatch; cross-check against the
-	// scalar decisions it must reproduce.
-	p, err := CalibrateModel(m, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if pr := p.Prob(m.Decision(x[i])); pr < 0 || pr > 1 || math.IsNaN(pr) {
-			t.Fatalf("calibrated prob out of range: %v", pr)
-		}
-	}
 }
 
 // TestDecisionBatchEmptyAndInto covers the zero-row path and the

@@ -1,9 +1,6 @@
 package svm
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // StratifiedFolds assigns each labelled row to one of k folds: each class
 // is spread round-robin over the folds in an order shuffled by seed, so
@@ -29,77 +26,4 @@ func StratifiedFolds(y []int, folds int, seed int64) []int {
 		fold[idx] = i % folds
 	}
 	return fold
-}
-
-// CrossValidate runs stratified k-fold cross-validation and returns the
-// mean held-out accuracy. It is the standard way to sanity-check a (C,
-// gamma) choice before committing to the iterative-doubling schedule.
-// Per-group model selection with metrics beyond accuracy lives in
-// internal/train, which builds on the same StratifiedFolds assignment.
-func CrossValidate(x [][]float64, y []int, p Params, folds int, seed int64) (float64, error) {
-	if folds < 2 {
-		return 0, fmt.Errorf("svm: need >= 2 folds, got %d", folds)
-	}
-	if len(x) != len(y) || len(x) < folds {
-		return 0, fmt.Errorf("svm: %d rows for %d folds", len(x), folds)
-	}
-	fold := StratifiedFolds(y, folds, seed)
-
-	var sumAcc float64
-	scored := 0
-	for f := 0; f < folds; f++ {
-		var trX [][]float64
-		var trY []int
-		var teX [][]float64
-		var teY []int
-		for i := range x {
-			if fold[i] == f {
-				teX = append(teX, x[i])
-				teY = append(teY, y[i])
-			} else {
-				trX = append(trX, x[i])
-				trY = append(trY, y[i])
-			}
-		}
-		if len(teX) == 0 {
-			continue
-		}
-		m, err := Train(trX, trY, p)
-		if err == ErrNoData {
-			// A fold may strip one class entirely on tiny sets; skip it.
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		sumAcc += m.Accuracy(teX, teY)
-		scored++
-	}
-	if scored == 0 {
-		return 0, fmt.Errorf("svm: no scoreable folds")
-	}
-	return sumAcc / float64(scored), nil
-}
-
-// GridSearch evaluates every (C, gamma) combination by cross-validation
-// and returns the best parameters and their accuracy.
-func GridSearch(x [][]float64, y []int, cs, gammas []float64, folds int, seed int64) (Params, float64, error) {
-	if len(cs) == 0 || len(gammas) == 0 {
-		return Params{}, 0, fmt.Errorf("svm: empty parameter grid")
-	}
-	best := Params{}
-	bestAcc := -1.0
-	for _, c := range cs {
-		for _, g := range gammas {
-			p := Params{C: c, Gamma: g}
-			acc, err := CrossValidate(x, y, p, folds, seed)
-			if err != nil {
-				return Params{}, 0, err
-			}
-			if acc > bestAcc {
-				best, bestAcc = p, acc
-			}
-		}
-	}
-	return best, bestAcc, nil
 }

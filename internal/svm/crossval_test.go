@@ -1,78 +1,62 @@
 package svm
 
 import (
-	"math/rand"
+	"reflect"
 	"testing"
 )
 
-func blobs(n int, seed int64) ([][]float64, []int) {
-	rng := rand.New(rand.NewSource(seed))
-	var x [][]float64
-	var y []int
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			x = append(x, []float64{rng.NormFloat64()*0.3 + 1, rng.NormFloat64()*0.3 + 1})
-			y = append(y, +1)
-		} else {
-			x = append(x, []float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3})
-			y = append(y, -1)
+// TestStratifiedFolds checks the fold assignment on labelled sets of 40+
+// rows at several fold counts: every row lands in [0,k), each fold holds
+// each class's share to within one row, a fixed seed repeats the
+// assignment and another seed moves it.
+func TestStratifiedFolds(t *testing.T) {
+	for _, tc := range []struct{ rows, pos, k int }{
+		{40, 20, 2},
+		{41, 13, 3},
+		{64, 9, 4},
+		{100, 50, 5},
+		{57, 56, 7},
+	} {
+		y := make([]int, tc.rows)
+		for i := range y {
+			y[i] = -1
 		}
-	}
-	return x, y
-}
-
-func TestCrossValidateSeparable(t *testing.T) {
-	x, y := blobs(100, 1)
-	acc, err := CrossValidate(x, y, Params{C: 10, Gamma: 1}, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Fatalf("cv accuracy: %v", acc)
-	}
-}
-
-func TestCrossValidateErrors(t *testing.T) {
-	x, y := blobs(10, 2)
-	if _, err := CrossValidate(x, y, Params{C: 1, Gamma: 1}, 1, 0); err == nil {
-		t.Fatal("folds < 2 must fail")
-	}
-	if _, err := CrossValidate(x[:3], y[:3], Params{C: 1, Gamma: 1}, 5, 0); err == nil {
-		t.Fatal("too few rows must fail")
-	}
-}
-
-func TestCrossValidateDeterministic(t *testing.T) {
-	x, y := blobs(60, 3)
-	a, err := CrossValidate(x, y, Params{C: 10, Gamma: 1}, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CrossValidate(x, y, Params{C: 10, Gamma: 1}, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("cv nondeterministic: %v vs %v", a, b)
-	}
-}
-
-func TestGridSearch(t *testing.T) {
-	x, y := blobs(80, 4)
-	best, acc, err := GridSearch(x, y,
-		[]float64{0.01, 1, 100},
-		[]float64{0.001, 0.1, 10},
-		4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Fatalf("grid search best accuracy: %v (params %+v)", acc, best)
-	}
-	if best.C == 0 || best.Gamma == 0 {
-		t.Fatalf("degenerate best params: %+v", best)
-	}
-	if _, _, err := GridSearch(x, y, nil, nil, 4, 5); err == nil {
-		t.Fatal("empty grid must fail")
+		// Spread the positives over the rows rather than packing them
+		// at the front.
+		for j := 0; j < tc.pos; j++ {
+			y[j*tc.rows/tc.pos] = +1
+		}
+		const seed = 7
+		fold := StratifiedFolds(y, tc.k, seed)
+		if len(fold) != tc.rows {
+			t.Fatalf("%+v: %d assignments for %d rows", tc, len(fold), tc.rows)
+		}
+		counts := make([][2]int, tc.k)
+		for i, f := range fold {
+			if f < 0 || f >= tc.k {
+				t.Fatalf("%+v: row %d in fold %d, want [0,%d)", tc, i, f, tc.k)
+			}
+			if y[i] > 0 {
+				counts[f][1]++
+			} else {
+				counts[f][0]++
+			}
+		}
+		nClass := [2]int{tc.rows - tc.pos, tc.pos}
+		for f, c := range counts {
+			for class, n := range c {
+				lo, hi := nClass[class]/tc.k, (nClass[class]+tc.k-1)/tc.k
+				if n < lo || n > hi {
+					t.Fatalf("%+v: fold %d holds %d of class %d's %d rows, want %d..%d",
+						tc, f, n, class, nClass[class], lo, hi)
+				}
+			}
+		}
+		if again := StratifiedFolds(y, tc.k, seed); !reflect.DeepEqual(again, fold) {
+			t.Fatalf("%+v: seed %d gave two assignments", tc, seed)
+		}
+		if other := StratifiedFolds(y, tc.k, seed+1); reflect.DeepEqual(other, fold) {
+			t.Fatalf("%+v: seeds %d and %d gave the same assignment", tc, seed, seed+1)
+		}
 	}
 }

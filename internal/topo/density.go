@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"hotspot/internal/geom"
-	"hotspot/internal/simd"
 )
 
 // Density is the pixel polygon-density vector of a core pattern: an N x N
@@ -139,23 +138,4 @@ func AlignTo(a, b Density) (Density, float64) {
 		}
 	}
 	return bestD, best
-}
-
-// Mean returns the element-wise mean of grids (all the same size). The
-// zero-length input yields an empty grid.
-func Mean(grids []Density) Density {
-	if len(grids) == 0 {
-		return Density{}
-	}
-	out := Density{N: grids[0].N, D: make([]float64, len(grids[0].D))}
-	for _, g := range grids {
-		// alpha = 1 keeps the accumulation exact: 1*v rounds to v, so the
-		// simd path adds the same addends as the plain loop it replaced.
-		simd.AxpyAccum(out.D, g.D, 1)
-	}
-	inv := 1 / float64(len(grids))
-	for i := range out.D {
-		out.D[i] *= inv
-	}
-	return out
 }

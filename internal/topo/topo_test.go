@@ -239,7 +239,12 @@ func TestDensityOrientRoundTrip(t *testing.T) {
 	rects, window := randomPattern(rng)
 	d := ComputeDensity(rects, window, 12)
 	for _, o := range geom.AllOrientations {
-		back := d.Orient(o).Orient(o.Inverse())
+		// Mirror-rotations are involutions; rotations invert mod 4.
+		inv := o
+		if o < geom.MirRot0 {
+			inv = geom.Orientation((4 - int(o)) % 4)
+		}
+		back := d.Orient(o).Orient(inv)
 		if l1(d, back) > 1e-12 {
 			t.Fatalf("orient %v round trip failed", o)
 		}

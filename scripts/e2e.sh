@@ -5,9 +5,12 @@
 # second distributed scan during which one backend is killed mid-flight,
 # then kill -9 a third distributed scan (with a shard store) once it has
 # stored two shards and resume it from the store — every distributed
-# report must be byte-identical to the local reference. Last, a layout
+# report must be byte-identical to the local reference. Then a layout
 # whose coordinates reach the int32 limit is posted to the surviving
-# backend: it must answer 400 and stay ready.
+# backend: it must answer 400 and stay ready. Last, the benchmark's
+# training clip set is posted to /v1/detect whole, then its first 16 clips
+# one per request: each lone label must equal that clip's label in the
+# whole set's answer.
 #
 # Mirrors the `e2e` job in .github/workflows/ci.yml; run locally with
 # `make e2e`. Tunables (env): BENCH, SCALE, TILE, SHARDS, PORT1, PORT2.
@@ -142,4 +145,44 @@ if [ "$ready" != 200 ]; then
   exit 1
 fi
 
-echo "e2e smoke: OK (distributed reports byte-identical to local scan; hostile body refused)"
+echo "==> /v1/detect: the training clip set whole, then 16 clips one per request"
+"$bin" gen -bench "$BENCH" -scale "$SCALE" -train "$work/clips.json" -out "$work/gen.gds" >/dev/null
+code=$(curl -s -o "$work/detect-set.json" -w '%{http_code}' --max-time 60 \
+  --data-binary @"$work/clips.json" "http://127.0.0.1:$PORT1/v1/detect")
+if [ "$code" != 200 ]; then
+  echo "clip set: status $code, want 200" >&2
+  cat "$work/detect-set.json" >&2
+  exit 1
+fi
+python3 - "$work" <<'PY'
+import json, sys
+work = sys.argv[1]
+clips = json.load(open(f"{work}/clips.json"))
+for i, p in enumerate(clips["patterns"][:16]):
+    with open(f"{work}/lone-{i}.json", "w") as f:
+        json.dump({"version": clips["version"], "patterns": [p]}, f)
+PY
+for i in $(seq 0 15); do
+  code=$(curl -s -o "$work/lone-$i.out" -w '%{http_code}' --max-time 20 \
+    --data-binary @"$work/lone-$i.json" "http://127.0.0.1:$PORT1/v1/detect")
+  if [ "$code" != 200 ]; then
+    echo "lone clip $i: status $code, want 200" >&2
+    cat "$work/lone-$i.out" >&2
+    exit 1
+  fi
+done
+python3 - "$work" <<'PY'
+import json, sys
+work = sys.argv[1]
+n = len(json.load(open(f"{work}/clips.json"))["patterns"])
+whole = json.load(open(f"{work}/detect-set.json"))
+if whole["count"] != n or len(whole["labels"]) != n:
+    sys.exit(f"clip set of {n}: answer counts {whole['count']} with {len(whole['labels'])} labels")
+for i in range(16):
+    lone = json.load(open(f"{work}/lone-{i}.out"))
+    if lone["count"] != 1 or lone["labels"] != [whole["labels"][i]]:
+        sys.exit(f"clip {i}: lone answer {lone}, label {whole['labels'][i]} in the set")
+print(f"    {n} clips in one request; 16 lone answers match their set labels")
+PY
+
+echo "e2e smoke: OK (distributed reports byte-identical to local scan; hostile body refused; lone /v1/detect labels match the batch)"
