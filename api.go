@@ -137,9 +137,10 @@ func Evaluate(reported, truth []Rect, areaDBU2 int64, spec ClipSpec) Score {
 
 // Tiled scanning types. Detector.ScanTiled / ScanTiledContext /
 // ScanGDSContext evaluate chip-scale layouts in bounded memory: the
-// layout is cut into halo-overlapped tiles processed by a work-stealing
-// worker pool, with a resumable tile result store and a report identical
-// to Detect (see docs/ARCHITECTURE.md, "Chip-scale tiled scanning").
+// layout is cut into halo-overlapped tiles whose candidates a
+// work-stealing worker pool classifies in chunks, with a resumable tile
+// result store. Detect is such a scan with default options (see
+// docs/ARCHITECTURE.md, "Chip-scale tiled scanning").
 type (
 	// ScanOptions parameterizes a tiled scan (tile side, workers, tile
 	// result store, per-tile memory budget); its zero value is usable.

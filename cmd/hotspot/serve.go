@@ -32,7 +32,6 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-request deadline ceiling (0 = 30s)")
 	drain := fs.Duration("drain", 0, "graceful-shutdown drain budget (0 = 15s)")
 	scans := fs.Int("scans", 0, "concurrent /v1/scan limit (0 = 2)")
-	tiledScan := fs.Int("tiledscan", 0, "rect count that routes /v1/scan through the tiled pipeline (0 = 250000, <0 = never)")
 	storePath := fs.String("store", "", "persistent tile result store for incremental /v1/scan re-scans")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,7 +47,6 @@ func cmdServe(args []string) error {
 		RequestTimeout:  *timeout,
 		DrainTimeout:    *drain,
 		ScanConcurrency: *scans,
-		TiledScanRects:  *tiledScan,
 		StorePath:       *storePath,
 		Obs:             obs.NewRegistry(),
 	}

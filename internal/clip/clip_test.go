@@ -183,40 +183,32 @@ func TestExtractParallelMatchesSerial(t *testing.T) {
 }
 
 // TestExtractCancelledOnHugeRect extracts a solid 1.2 x 2 mm rectangle,
-// 1.67M pieces that all qualify, under a 50 ms deadline, through both the
-// whole-layout and the tile path. Each must return the deadline error
-// within a second: a rectangle's area, unlike its coordinates, is not
-// refused up front, so extraction itself has to stop.
+// 1.67M pieces that all qualify, as one tile under a 50 ms deadline. It
+// must return the deadline error within a second: a rectangle's area,
+// unlike its coordinates, is not refused up front, so extraction itself
+// has to stop.
 func TestExtractCancelledOnHugeRect(t *testing.T) {
 	l := layout.New("huge")
 	huge := geom.R(0, 0, 1_200_000, 2_000_000)
 	l.AddRect(1, huge)
-	for name, extract := range map[string]func(context.Context) error{
-		"layout": func(ctx context.Context) error {
-			_, err := ExtractContext(ctx, l, 1, DefaultSpec, DefaultRequirements, 2, nil)
-			return err
-		},
-		"tile": func(ctx context.Context) error {
-			_, err := ExtractTile(ctx, l, 1, DefaultSpec, DefaultRequirements, huge)
-			return err
-		},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		start := time.Now()
-		errc := make(chan error, 1)
-		go func() { errc <- extract(ctx) }()
-		select {
-		case err := <-errc:
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("%s: err = %v, want DeadlineExceeded", name, err)
-			}
-			if d := time.Since(start); d > time.Second {
-				t.Errorf("%s: returned %v after a 50ms deadline", name, d)
-			}
-		case <-time.After(10 * time.Second):
-			t.Errorf("%s: still extracting 10s after a 50ms deadline", name)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ExtractTile(ctx, l, 1, DefaultSpec, DefaultRequirements, huge)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want DeadlineExceeded", err)
 		}
-		cancel()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("returned %v after a 50ms deadline", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("still extracting 10s after a 50ms deadline")
 	}
 }
 

@@ -3,7 +3,6 @@ package clip
 import (
 	"context"
 	"sort"
-	"time"
 
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
@@ -69,7 +68,7 @@ type Candidate struct {
 // candidate is kept when the polygon distribution inside the clip meets the
 // requirements. Duplicate core positions are merged.
 func Extract(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements) []Candidate {
-	return ExtractParallelObs(l, layer, spec, req, 1, nil)
+	return ExtractParallel(l, layer, spec, req, 1)
 }
 
 // Key identifies a candidate's (snap cell, core topology) deduplication
@@ -142,52 +141,15 @@ func floorDiv(a, b geom.Coord) geom.Coord {
 
 // ExtractParallel is Extract fanned out over horizontal bands of the
 // layout, the multithreaded clip extraction of §III-G. workers <= 1 falls
-// back to the serial path.
+// back to the serial path. Pieces are enumerated from each rectangle as
+// they are evaluated, never collected first, so a rectangle far larger
+// than a clip costs time rather than memory. Detection itself extracts
+// tile by tile (ExtractTile), where the scan's context bounds that time.
 func ExtractParallel(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int) []Candidate {
-	return ExtractParallelObs(l, layer, spec, req, workers, nil)
-}
-
-// ExtractParallelObs is ExtractParallel with metrics: when reg is non-nil
-// it records the dissected piece count, the candidates kept before and
-// after topology deduplication, and the extraction wall time. Counts are
-// accumulated per band outside the per-piece loop, so instrumentation does
-// not slow the scan, and a nil reg is exactly ExtractParallel.
-func ExtractParallelObs(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) []Candidate {
-	out, _ := ExtractContext(context.Background(), l, layer, spec, req, workers, reg)
-	return out
-}
-
-// ExtractContext is ExtractParallelObs with cooperative cancellation: every
-// worker checks ctx once per ctxCheckPieces pieces, and a cancelled
-// extraction returns ctx's error and no candidates. Pieces are enumerated
-// from each rectangle as they are evaluated, never collected first, so a
-// rectangle far larger than a clip costs time, which ctx bounds, rather
-// than memory.
-func ExtractContext(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) ([]Candidate, error) {
-	start := time.Now()
-	out, err := extractParallel(ctx, l, layer, spec, req, workers, reg)
-	if err != nil {
-		return nil, err
-	}
-	if reg != nil {
-		reg.Counter("clip.candidates").Add(int64(len(out)))
-		reg.Histogram("clip.extract_seconds").ObserveDuration(time.Since(start))
-	}
-	return out, nil
-}
-
-// ctxCheckPieces is how many pieces an extraction worker evaluates between
-// context checks: a few milliseconds of work.
-const ctxCheckPieces = 256
-
-// extractParallel splits the layer's pieces, numbered in dissection order
-// (rectangle by rectangle, each row-major from its bottom-left corner),
-// into one contiguous range per worker. A panic in a worker is raised
-// again on the caller's goroutine as a *workerpanic.Error once every
-// worker has returned.
-func extractParallel(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, reg *obs.Registry) ([]Candidate, error) {
 	rects := l.Rects(layer)
-	// ends[i] counts the pieces of rects[:i+1].
+	// ends[i] counts the pieces of rects[:i+1]. The pieces, numbered in
+	// dissection order (rectangle by rectangle, each row-major from its
+	// bottom-left corner), split into one contiguous range per worker.
 	ends := make([]int64, len(rects))
 	var total int64
 	for i, r := range rects {
@@ -195,33 +157,42 @@ func extractParallel(ctx context.Context, l *layout.Layout, layer layout.Layer, 
 		total += nx * ny
 		ends[i] = total
 	}
-	reg.Counter("clip.pieces").Add(total)
 	workers = max(workers, 1)
 	chunk := max((total+int64(workers)-1)/int64(workers), 1)
 	parts := (total + chunk - 1) / chunk
 	results := make([][]Keyed, parts)
-	errs := make([]error, parts)
+	// A panic in a worker is raised again here as a *workerpanic.Error
+	// once every worker has returned.
 	var g workerpanic.Group
 	for slot := int64(0); slot < parts; slot++ {
 		g.Go(func() {
-			results[slot], errs[slot] = keyPieces(ctx, l, layer, spec, req, rects, ends, slot*chunk, min((slot+1)*chunk, total))
+			results[slot] = keyPieces(l, layer, spec, req, rects, ends, slot*chunk, min((slot+1)*chunk, total))
 		})
 	}
 	g.Wait()
 	var kcs []Keyed
-	for slot, cs := range results {
-		if errs[slot] != nil {
-			return nil, errs[slot]
-		}
+	for _, cs := range results {
 		kcs = append(kcs, cs...)
 	}
-	reg.Counter("clip.candidates_prededup").Add(int64(len(kcs)))
-	return anchorsOf(DedupCanonical(kcs)), nil
+	return anchorsOf(DedupCanonical(kcs))
 }
 
-// keyPieces evaluates the pieces numbered [lo, hi) (see extractParallel)
+// ExtractParallelObs is ExtractParallel; the registry records nothing.
+// Detection extracts through the tiled scan, whose scan.* metrics cover
+// extraction.
+//
+// Deprecated: use ExtractParallel.
+func ExtractParallelObs(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, workers int, _ *obs.Registry) []Candidate {
+	return ExtractParallel(l, layer, spec, req, workers)
+}
+
+// ctxCheckPieces is how many anchors ExtractTile evaluates between context
+// checks: a few milliseconds of work.
+const ctxCheckPieces = 256
+
+// keyPieces evaluates the pieces numbered [lo, hi) (see ExtractParallel)
 // and keys the qualifying ones.
-func keyPieces(ctx context.Context, l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, rects []geom.Rect, ends []int64, lo, hi int64) ([]Keyed, error) {
+func keyPieces(l *layout.Layout, layer layout.Layer, spec Spec, req Requirements, rects []geom.Rect, ends []int64, lo, hi int64) []Keyed {
 	var cs []Keyed
 	side := int64(max(spec.CoreSide, 0))
 	i := sort.Search(len(ends), func(i int) bool { return ends[i] > lo })
@@ -230,11 +201,6 @@ func keyPieces(ctx context.Context, l *layout.Layout, layer layout.Layer, spec S
 		nx, ny := pieceGrid(r, spec.CoreSide)
 		first := ends[i] - nx*ny
 		for ; k < hi && k < ends[i]; k++ {
-			if (k-lo)%ctxCheckPieces == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
 			j := k - first
 			at := geom.Pt(r.X0+geom.Coord(j%nx*side), r.Y0+geom.Coord(j/nx*side))
 			if MeetsRequirements(l, layer, spec, at, req) {
@@ -242,7 +208,7 @@ func keyPieces(ctx context.Context, l *layout.Layout, layer layout.Layer, spec S
 			}
 		}
 	}
-	return cs, nil
+	return cs
 }
 
 // anchorsOf projects deduplicated keyed candidates onto plain candidates.

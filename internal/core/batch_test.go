@@ -13,9 +13,9 @@ import (
 // scalar reference (scalar_test.go): over the whole training set
 // (hotspots, nonhotspots, and their shifted derivatives), ClassifyBatch and
 // ClassifyPattern must produce exactly the labels the per-clip chain does.
-// Each configuration runs at one and at four workers, which takes both the
-// serial and the parallel forks of evalLive* and feedbackBatchScratch on
-// any host, and at a raised bias, which moves the memo's key. The memo is
+// Each configuration runs at one and at four workers, which runs
+// ClassifyBatch's chunks serially and in parallel on any host, and at a
+// raised bias, which moves the memo's key. The memo is
 // emptied before each cold pass so every fork evaluates; a warm
 // ClassifyBatch pass then answers from the memo. Because DecisionBatch is
 // bit-for-bit equal to scalar Decision, any divergence here is a
@@ -119,10 +119,9 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 }
 
 // TestDetectContextReturnsWorkerPanic: a panic in an evaluation worker
-// (here from a nil kernel, standing in for a bug) ends DetectContext, which
-// serves /v1/scan's non-tiled route, with the *workerpanic.Error instead of
-// a panic on the caller; Detect, which has no error to return, raises it
-// again.
+// (here from a nil kernel, standing in for a bug) ends DetectContext with
+// the *workerpanic.Error instead of a panic on the caller; Detect, which
+// has no error to return, raises it again.
 func TestDetectContextReturnsWorkerPanic(t *testing.T) {
 	l := testBenchmark().Test
 	d := trainedDetector(t, DefaultConfig())

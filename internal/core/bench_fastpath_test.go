@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkEvalClipPipeline measures steady-state clip evaluation (one
-// detectChunk batch, serial workers — the tile evaluator's shape) through
-// the three fast-path regimes:
+// scan.ChunkSize batch, evaluated serially — a scan chunk's shape) through the
+// three fast-path regimes:
 //
 //   - prescreen-hit: the verdict memo resolves every clip (warmed memo),
 //     the zero-allocation steady state of repeated layout geometry;

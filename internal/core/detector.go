@@ -315,24 +315,29 @@ func iterativeTrain(rows [][]float64, labels []int, cfg Config, gp GroupParams, 
 // patterns are exactly the unseen near-misses the feedback kernel exists
 // to reclaim.
 func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRound func(int, int, float64, float64, float64)) {
-	var extras []*clip.Pattern
-	contributing := map[int]bool{}
-	s := getScratch()
-	defer putScratch(s)
 	// The self-evaluation bypasses the verdict memo. The memo is exact, so
 	// the verdicts are the same; but the training clips hardly ever repeat
 	// a core geometry, so the memo would only fill up and stay live through
 	// the feedback solve and beyond.
 	evalCfg := cfg
 	evalCfg.DisablePrescreen = true
-	for lo := 0; lo < len(nonhotspots); lo += detectChunk {
-		hi := min(lo+detectChunk, len(nonhotspots))
-		chunk := nonhotspots[lo:hi]
+	// Chunks run across the workers; each records its flagging kernels by
+	// clip, so the extras keep the nonhotspots' order.
+	kidx := make([]int, len(nonhotspots))
+	evalChunks(nonhotspots, cfg.Workers, func(s *evalScratch, lo int, chunk []*clip.Pattern) {
 		for i, v := range d.evalBatchScratch(s, chunk, evalCfg) {
+			kidx[lo+i] = -1
 			if v.flagged {
-				extras = append(extras, chunk[i])
-				contributing[v.kidx] = true
+				kidx[lo+i] = v.kidx
 			}
+		}
+	})
+	var extras []*clip.Pattern
+	contributing := map[int]bool{}
+	for i, k := range kidx {
+		if k >= 0 {
+			extras = append(extras, nonhotspots[i])
+			contributing[k] = true
 		}
 	}
 	d.stats.FeedbackExtras = len(extras)

@@ -27,17 +27,18 @@ type Report struct {
 	Reclaimed int `json:"reclaimed"`
 	// Runtime is the wall-clock evaluation time.
 	Runtime time.Duration `json:"runtime_ns"`
-	// Telemetry breaks the evaluation down by pipeline stage: clip
-	// extraction, multi-kernel evaluation, and redundant clip removal,
-	// with per-stage wall times, item counts, and aggregate counters
-	// (kernel decision evaluations, feedback reclaims). Always populated;
-	// JSON-serializable.
+	// Telemetry breaks the evaluation down by pipeline stage: the tiled
+	// scan (extraction and evaluation) and redundant clip removal, with
+	// per-stage wall times, item counts, and aggregate counters (tiles,
+	// kernel decision evaluations, flags, feedback reclaims). Always
+	// populated; JSON-serializable.
 	Telemetry obs.Telemetry `json:"telemetry"`
 }
 
 // Detect evaluates a testing layout: density-based clip extraction,
 // multiple-kernel evaluation, feedback-kernel filtering, and redundant clip
-// removal. It is safe to call concurrently from multiple goroutines, and
+// removal. It is a tiled scan with default options (see ScanTiledContext).
+// It is safe to call concurrently from multiple goroutines, and
 // concurrently with SetBias/SetWorkers (each call snapshots the
 // configuration once at entry). A worker panic is raised again on the
 // caller's goroutine as its *workerpanic.Error.
@@ -50,115 +51,19 @@ func (d *Detector) Detect(l *layout.Layout) Report {
 }
 
 // DetectContext is Detect with cooperative cancellation: the context's
-// deadline or cancellation is checked between pipeline stages, every few
-// hundred pieces during clip extraction, and between evaluation chunks
-// (candidate clips are batched detectChunk at a time through the flat SVM
-// decision path), so a long full-chip scan stops within one chunk's
-// evaluation of the deadline. On cancellation the partial report
+// deadline or cancellation is checked before every tile and every chunk
+// of at most scan.ChunkSize candidates, and every few hundred pieces
+// during clip extraction, so a long full-chip scan stops within one
+// chunk's evaluation of the deadline. On cancellation the partial report
 // accumulated so far is returned together with the context's error;
 // callers must treat a non-nil error as "incomplete" regardless of the
 // report's contents. A layout too close to the int32 coordinate limits is
 // refused with ErrCoordRange before any work. A panic in an evaluation
 // worker ends the call with its *workerpanic.Error, so a server fails the
-// one request; any other panic propagates. The concurrency guarantees of
-// Detect apply.
-func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (rep Report, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			p, ok := v.(*workerpanic.Error)
-			if !ok {
-				panic(v)
-			}
-			err = p
-		}
-	}()
-	start := time.Now()
-	cfg := d.config()
-	tel := &rep.Telemetry
-
-	// Anchor the snap-dedup grid on the geometry bounds: the report is
-	// then equivariant under rigid translation of the layout (locked by
-	// TestMetamorphicDetectTranslationInvariant) and independent of the
-	// design frame, which wire formats like the /v1/scan rect soup drop.
-	gb := l.GeometryBounds()
-	cfg.Requirements.SnapBase = geom.Pt(gb.X0, gb.Y0)
-	if err := checkCoordRange(gb, cfg.Spec, 0); err != nil {
-		return rep, err
-	}
-
-	sp := obs.Begin(tel, cfg.Obs, "detect.extract")
-	cands, err := clip.ExtractContext(ctx, l, cfg.Layer, cfg.Spec, cfg.Requirements, cfg.Workers, cfg.Obs)
-	rep.Candidates = len(cands)
-	sp.AddItems(int64(len(cands)))
-	sp.End()
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		cfg.Obs.Counter("detect.cancelled").Inc()
-		rep.Runtime = time.Since(start)
-		return rep, err
-	}
-
-	sp = obs.Begin(tel, cfg.Obs, "detect.evaluate")
-	var cores []geom.Rect
-	kernelEvals := int64(0)
-	// One evaluation arena serves every chunk: pattern slots, feature rows,
-	// and decision buffers reach their high-water sizes in the first chunks
-	// and are reused thereafter (the zero-allocation fast path).
-	s := getScratch()
-	defer putScratch(s)
-	for lo := 0; lo < len(cands); lo += detectChunk {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			cfg.Obs.Counter("detect.cancelled").Inc()
-			rep.Runtime = time.Since(start)
-			return rep, err
-		}
-		hi := lo + detectChunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		ps := s.patterns(hi - lo)
-		parallelFor(len(ps), cfg.Workers, func(i int) {
-			clip.FromLayoutInto(ps[i], l, cfg.Layer, cfg.Spec, cands[lo+i].At, 0)
-		})
-		vs := d.evalBatchScratch(s, ps, cfg)
-		reclaimed := d.feedbackBatchScratch(s, ps, vs, cfg)
-		for i := range vs {
-			kernelEvals += int64(vs[i].evals)
-			if !vs[i].flagged {
-				continue
-			}
-			rep.Flagged++
-			if reclaimed[i] {
-				rep.Reclaimed++
-				continue
-			}
-			cores = append(cores, ps[i].Core)
-		}
-	}
-	sp.AddItems(int64(len(cands)))
-	sp.End()
-	tel.AddCounter("detect.kernel_evals", kernelEvals)
-	tel.AddCounter("detect.flagged", int64(rep.Flagged))
-	tel.AddCounter("detect.reclaimed", int64(rep.Reclaimed))
-	cfg.Obs.Counter("detect.kernel_evals").Add(kernelEvals)
-	cfg.Obs.Counter("detect.flagged").Add(int64(rep.Flagged))
-	cfg.Obs.Counter("detect.reclaimed").Add(int64(rep.Reclaimed))
-
-	if cfg.EnableRemoval {
-		sp = obs.Begin(tel, cfg.Obs, "detect.removal")
-		before := len(cores)
-		cores = RemoveRedundant(cores, l, cfg)
-		sp.AddItems(int64(before - len(cores)))
-		sp.End()
-	}
-	rep.Hotspots = cores
-	rep.Runtime = time.Since(start)
-	cfg.Obs.Counter("detect.runs").Inc()
-	cfg.Obs.Histogram("detect.seconds").Observe(rep.Runtime.Seconds())
-	return rep, nil
+// one request. The concurrency guarantees of Detect apply.
+func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (Report, error) {
+	rep, _, err := d.ScanTiledContext(ctx, l, ScanOptions{})
+	return rep, err
 }
 
 // ClassifyPattern evaluates one standalone clip, returning the predicted

@@ -158,21 +158,20 @@ func TestPrescreenObservability(t *testing.T) {
 	}
 }
 
-// evalFixture extracts up to detectChunk candidate clips from the test
-// layout into scratch-owned pattern slots, serial-eval configured.
+// evalFixture extracts up to scan.ChunkSize candidate clips from the test
+// layout into scratch-owned pattern slots.
 func evalFixture(t testing.TB, d *Detector, l *layout.Layout, s *evalScratch) ([]*clip.Pattern, Config) {
 	cfg := d.config()
-	cfg.Workers = 1
 	cfg.Obs = nil
 	gb := l.GeometryBounds()
 	cfg.Requirements.SnapBase = geom.Pt(gb.X0, gb.Y0)
-	cands := clip.ExtractParallelObs(l, cfg.Layer, cfg.Spec, cfg.Requirements, 8, nil)
+	cands := clip.ExtractParallel(l, cfg.Layer, cfg.Spec, cfg.Requirements, 8)
 	if len(cands) == 0 {
 		t.Fatal("no candidate clips")
 	}
 	n := len(cands)
-	if n > detectChunk {
-		n = detectChunk
+	if n > scan.ChunkSize {
+		n = scan.ChunkSize
 	}
 	ps := s.patterns(n)
 	for i := 0; i < n; i++ {

@@ -70,11 +70,9 @@ func TestTrainDetectTelemetry(t *testing.T) {
 	}
 
 	rep := d.Detect(b.Test)
-	if s, ok := rep.Telemetry.Stage("detect.extract"); !ok || s.Items != int64(rep.Candidates) {
-		t.Errorf("detect.extract stage: %+v ok=%v want items=%d", s, ok, rep.Candidates)
-	}
-	if s, ok := rep.Telemetry.Stage("detect.evaluate"); !ok || s.Items != int64(rep.Candidates) {
-		t.Errorf("detect.evaluate stage: %+v ok=%v", s, ok)
+	tiles := rep.Telemetry.Counters["scan.tiles_total"]
+	if s, ok := rep.Telemetry.Stage("scan.tiles"); !ok || tiles <= 0 || s.Items != tiles {
+		t.Errorf("scan.tiles stage: %+v ok=%v want items=%d > 0", s, ok, tiles)
 	}
 	if _, ok := rep.Telemetry.Stage("detect.removal"); !ok {
 		t.Errorf("detect.removal stage missing: %+v", rep.Telemetry.Stages)
@@ -99,7 +97,10 @@ func TestTrainDetectTelemetry(t *testing.T) {
 		t.Fatalf("telemetry JSON round trip lost stages: %s", data)
 	}
 
-	if snap := reg.Snapshot(); snap.Counters["detect.runs"] != 1 || snap.Counters["clip.pieces"] <= 0 {
+	snap = reg.Snapshot()
+	if snap.Counters["detect.runs"] != 1 || snap.Counters["scan.tiles_done"] != tiles ||
+		snap.Counters["detect.kernel_evals"] != rep.Telemetry.Counters["detect.kernel_evals"] ||
+		snap.Counters["detect.flagged"] != int64(rep.Flagged) {
 		t.Errorf("detection registry counters: %+v", snap.Counters)
 	}
 }
@@ -113,8 +114,10 @@ func TestDetectTelemetryWithoutRegistry(t *testing.T) {
 	if len(rep.Telemetry.Stages) == 0 {
 		t.Fatal("telemetry empty without registry")
 	}
-	if s, ok := rep.Telemetry.Stage("detect.extract"); !ok || s.Duration <= 0 {
-		t.Fatalf("extract stage: %+v ok=%v", s, ok)
+	for _, stage := range []string{"scan.tiles", "detect.removal"} {
+		if s, ok := rep.Telemetry.Stage(stage); !ok || s.Duration <= 0 {
+			t.Fatalf("%s stage: %+v ok=%v", stage, s, ok)
+		}
 	}
 }
 

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"sync"
+
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
+	"hotspot/internal/geom"
+	"hotspot/internal/layout"
 	"hotspot/internal/topo"
 )
 
@@ -20,6 +25,48 @@ func (d *Detector) classifyScalar(p *clip.Pattern, cfg Config) clip.Label {
 	}
 	return clip.Hotspot
 }
+
+// detectReference is the monolithic reference every scan route is checked
+// against: whole-layout extraction on the snap base Detect anchors (the
+// geometry bounds' low corner), one pattern per candidate, the scalar
+// per-clip chain, and redundant clip removal. No tiles, chunks, scan.Run
+// or batched evaluation take part. Only the deterministic outcome fields
+// are set. Training is deterministic, so references are cached by model
+// digest and layout across the tests that retrain the same detector.
+func (d *Detector) detectReference(l *layout.Layout) Report {
+	key := fmt.Sprintf("%s/%p", d.ModelDigest(), l)
+	if rep, ok := references.Load(key); ok {
+		return rep.(Report)
+	}
+	cfg := d.config()
+	gb := l.GeometryBounds()
+	cfg.Requirements.SnapBase = geom.Pt(gb.X0, gb.Y0)
+	cands := clip.ExtractParallel(l, cfg.Layer, cfg.Spec, cfg.Requirements, cfg.Workers)
+	rep := Report{Candidates: len(cands)}
+	var cores []geom.Rect
+	for _, c := range cands {
+		p := clip.FromLayout(l, cfg.Layer, cfg.Spec, c.At, 0)
+		hit, _, conf, _ := d.multiKernelEval(p, cfg)
+		if !hit {
+			continue
+		}
+		rep.Flagged++
+		if d.feedbackReclaims(p, conf, cfg) {
+			rep.Reclaimed++
+			continue
+		}
+		cores = append(cores, p.Core)
+	}
+	if cfg.EnableRemoval {
+		cores = RemoveRedundant(cores, l, cfg)
+	}
+	rep.Hotspots = cores
+	references.Store(key, rep)
+	return rep
+}
+
+// references caches detectReference reports.
+var references sync.Map
 
 // multiKernelEval is multiKernelFlag plus the maximum decision value over
 // all kernels, used as the flag's confidence by the feedback stage. The

@@ -35,16 +35,18 @@ func reportsEqual(t *testing.T, label string, got, want Report) {
 }
 
 // TestScanTiledMatchesDetect is the pipeline's exact-equivalence guarantee:
-// for any tile size (down to the core side) and worker count, the tiled
-// scan reports the same hotspot set, candidate count, and flag/reclaim
-// tallies as the monolithic whole-layout Detect.
+// Detect, and the tiled scan at any tile size (down to the core side, up to
+// one tile for the whole layout) and worker count, report the same hotspot
+// set, candidate count, and flag/reclaim tallies as the monolithic scalar
+// reference.
 func TestScanTiledMatchesDetect(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
-	want := d.Detect(b.Test)
+	want := d.detectReference(b.Test)
 	if want.Candidates == 0 {
 		t.Fatal("benchmark produced no candidates")
 	}
+	reportsEqual(t, "detect", d.Detect(b.Test), want)
 
 	for _, tc := range []struct {
 		tile    geom.Coord
@@ -53,7 +55,8 @@ func TestScanTiledMatchesDetect(t *testing.T) {
 		{4800, 1},
 		{4800, 8},
 		{16000, 4},
-		{0, 8}, // default tile size
+		{0, 8},       // default tile size
+		{1 << 20, 4}, // the whole layout in one tile
 	} {
 		rep, stats, err := d.ScanTiledContext(context.Background(), b.Test, ScanOptions{Tile: tc.tile, Workers: tc.workers})
 		if err != nil {
@@ -67,12 +70,12 @@ func TestScanTiledMatchesDetect(t *testing.T) {
 }
 
 // TestScanTiledSeamOnce pins the seam guarantee at the detector level: with
-// the smallest legal tiles (maximum seam surface) no hotspot core is
-// reported twice, and the set still matches Detect.
+// small tiles (a large seam surface) no hotspot core is reported twice, and
+// the set still matches the monolithic reference.
 func TestScanTiledSeamOnce(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
-	want := d.Detect(b.Test)
+	want := d.detectReference(b.Test)
 
 	spec := d.Config().Spec
 	rep, _, err := d.ScanTiledContext(context.Background(), b.Test, ScanOptions{Tile: spec.CoreSide * 4, Workers: 8})
@@ -90,11 +93,11 @@ func TestScanTiledSeamOnce(t *testing.T) {
 }
 
 // TestScanTiledAdaptiveSplitMatches forces memory-budget splitting and
-// checks the outcome is still identical.
+// checks the outcome still equals the monolithic reference.
 func TestScanTiledAdaptiveSplitMatches(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
-	want := d.Detect(b.Test)
+	want := d.detectReference(b.Test)
 
 	rep, stats, err := d.ScanTiledContext(context.Background(), b.Test, ScanOptions{
 		Tile: 20000, Workers: 8, TileMemBytes: 1 << 12,
@@ -153,7 +156,7 @@ func TestScanTiledResume(t *testing.T) {
 
 // TestScanGDSMatchesDetect drives the scan from a GDSII hierarchy (per-tile
 // windowed flattening, removal over a windowed support layout) and checks
-// it against flatten-everything-then-Detect.
+// it against the monolithic reference of the flattened chip.
 func TestScanGDSMatchesDetect(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
@@ -163,7 +166,7 @@ func TestScanGDSMatchesDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := d.Detect(flat)
+	want := d.detectReference(flat)
 
 	rep, stats, err := d.ScanGDSContext(context.Background(), lib, "TOP", ScanOptions{Tile: 16000, Workers: 8})
 	if err != nil {
@@ -175,9 +178,10 @@ func TestScanGDSMatchesDetect(t *testing.T) {
 	reportsEqual(t, "gds scan", rep, want)
 }
 
-// BenchmarkScanTiled compares the monolithic detect path against the tiled
-// scan at one and many workers, reporting allocations (the tiled path's
-// peak-memory win shows up as allocated bytes per op on the GDS source).
+// BenchmarkScanTiled times Detect (a tiled scan with default options)
+// against the tiled scan at one and many workers, reporting allocations
+// (the windowed GDS source's peak-memory win shows up as allocated bytes
+// per op).
 func BenchmarkScanTiled(b *testing.B) {
 	bench := testBenchmark()
 	d := trainedDetector(b, DefaultConfig())

@@ -14,10 +14,10 @@ import (
 // evalScratch is the reusable arena of the clip-evaluation fast path: every
 // buffer the batched evaluation loop needs, held across chunks so the
 // steady state allocates nothing. A scratch belongs to one goroutine at a
-// time; hot callers (DetectContext's chunk loop, tileEvaluator, the
-// feedback self-evaluation) acquire one from the pool and keep it for the
-// whole run. No buffer handed out by a scratch may be retained past the
-// next call that uses the scratch.
+// time; every batch evaluation (a scan chunk, a ClassifyBatch chunk, a
+// feedback self-evaluation chunk) acquires one from the pool for its
+// chunk. No buffer handed out by a scratch may be retained past the next
+// call that uses the scratch.
 type evalScratch struct {
 	// pats/ps back the chunk's materialized patterns (FromLayoutInto reuses
 	// each slot's Rects capacity chunk after chunk).
@@ -43,7 +43,7 @@ type evalScratch struct {
 	// dec and best hold batched decision values and per-clip confidences.
 	dec  []float64
 	best []float64
-	// core holds one clip's core-clipped geometry (serial extraction).
+	// core holds one clip's core-clipped geometry.
 	core []geom.Rect
 	// reclaimed and idxs serve the feedback pass.
 	reclaimed []bool
@@ -56,7 +56,7 @@ type evalScratch struct {
 	sample [1]metrics.Sample
 }
 
-// scratchPool recycles evaluation arenas across runs and tiles.
+// scratchPool recycles evaluation arenas across chunks and runs.
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 func getScratch() *evalScratch  { return scratchPool.Get().(*evalScratch) }
@@ -134,8 +134,7 @@ var (
 	labelFeedback = pprof.WithLabels(labelBase, pprof.Labels("stage", "feedback"))
 )
 
-// setStage tags the current goroutine (and any goroutine it spawns, i.e.
-// parallelFor workers) with a pipeline-stage pprof label.
+// setStage tags the current goroutine with a pipeline-stage pprof label.
 func setStage(ctx context.Context) { pprof.SetGoroutineLabels(ctx) }
 
 // allocBytesName is the runtime metric behind eval.alloc_bytes_per_clip.

@@ -10,7 +10,8 @@ import (
 // `go test -fuzz=FuzzParse ./internal/gds` for a real fuzzing session;
 // the seed corpus runs as a normal test.
 func FuzzParse(f *testing.F) {
-	// Seeds: a valid library, a truncation, a header-only stream, garbage.
+	// Seeds: a valid library, a truncation, a header-only stream, garbage,
+	// and a structure closed inside an open element.
 	var valid bytes.Buffer
 	if err := testLibrary().Write(&valid); err != nil {
 		f.Fatal(err)
@@ -20,6 +21,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte{0x00, 0x06, 0x00, 0x02, 0x02, 0x58})
 	f.Add([]byte("not a gds stream at all"))
 	f.Add([]byte{})
+	f.Add(openElementStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lib, err := Parse(bytes.NewReader(data))

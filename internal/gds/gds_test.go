@@ -315,6 +315,37 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated stream must fail")
 	}
+	// A structure closed inside an open element: the element's ENDEL once
+	// committed it to a nil structure and panicked.
+	if _, err := Parse(bytes.NewReader(openElementStream(t))); err == nil {
+		t.Fatal("ENDSTR inside an open element must fail")
+	}
+}
+
+// openElementStream is HEADER, BGNLIB, LIBNAME, UNITS, BGNSTR, STRNAME,
+// PATH, ENDSTR, XY (0,0,10,0), ENDEL: a PATH left open across its
+// structure's ENDSTR.
+func openElementStream(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rw := NewRecordWriter(&buf)
+	for _, f := range []func() error{
+		func() error { return rw.WriteInt16s(RecHeader, 600) },
+		func() error { return rw.WriteInt16s(RecBgnLib, make([]int16, 12)...) },
+		func() error { return rw.WriteASCII(RecLibName, "L") },
+		func() error { return rw.WriteReals(RecUnits, 1e-3, 1e-9) },
+		func() error { return rw.WriteInt16s(RecBgnStr, make([]int16, 12)...) },
+		func() error { return rw.WriteASCII(RecStrName, "S") },
+		func() error { return rw.WriteEmpty(RecPath) },
+		func() error { return rw.WriteEmpty(RecEndStr) },
+		func() error { return rw.WriteInt32s(RecXY, 0, 0, 10, 0) },
+		func() error { return rw.WriteEmpty(RecEndEl) },
+	} {
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }
 
 func TestSegmentRects(t *testing.T) {

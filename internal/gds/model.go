@@ -102,6 +102,11 @@ func Parse(r io.Reader) (*Library, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A structure or library boundary inside an element would commit
+		// the element to a closed structure (or drop it): fail closed.
+		if curEl != nil && (rec.Type == RecEndLib || rec.Type == RecBgnStr || rec.Type == RecEndStr) {
+			return nil, fmt.Errorf("gds: %s inside an element (missing ENDEL)", rec.Type.Name())
+		}
 		switch rec.Type {
 		case RecEndLib:
 			return lib, nil

@@ -36,9 +36,8 @@ type detectResponse struct {
 // layout window to scan. Layer defaults to the layer the served model was
 // trained on. Rects use the clip-set packing [x0,y0,x1,y1] in dbu.
 //
-// Tiled selects the pipeline explicitly: absent, the server picks tiled
-// scanning automatically when the layout reaches Config.TiledScanRects
-// rectangles. Tile overrides the tile side (dbu) for tiled scans.
+// Every scan runs the tiled pipeline; Tile overrides its tile side (dbu).
+// A "tiled" field, which once chose between two pipelines, is ignored.
 //
 // Window turns the request into a shard scan (the distributed
 // coordinator's contract): only tiles of the global tile grid inside
@@ -58,16 +57,14 @@ type scanRequest struct {
 	Name        string          `json:"name,omitempty"`
 	Layer       *layout.Layer   `json:"layer,omitempty"`
 	Rects       [][4]geom.Coord `json:"rects"`
-	Tiled       *bool           `json:"tiled,omitempty"`
 	Tile        geom.Coord      `json:"tile,omitempty"`
 	Window      *[4]geom.Coord  `json:"window,omitempty"`
 	SnapBase    *[2]geom.Coord  `json:"snap_base,omitempty"`
 	Incremental *bool           `json:"incremental,omitempty"`
 }
 
-// scanResponse wraps the detection report with the scanned geometry size.
-// Tiled reports which pipeline ran; Tiles carries the tile counters of a
-// tiled run (absent otherwise). Candidates is the raw per-shard candidate
+// scanResponse wraps the detection report with the scanned geometry size
+// and the scan's tile counters. Candidates is the raw per-shard candidate
 // set of a window request (absent for whole-layout scans, whose outcome is
 // the Report). Store summarizes the server's tile result store when one
 // served this scan: cached/dirty tile counts live in Tiles, the store's
@@ -75,8 +72,7 @@ type scanRequest struct {
 type scanResponse struct {
 	Rects      int              `json:"rects"`
 	Report     core.Report      `json:"report"`
-	Tiled      bool             `json:"tiled,omitempty"`
-	Tiles      *core.ScanStats  `json:"tiles,omitempty"`
+	Tiles      *core.ScanStats  `json:"tiles"`
 	Store      *scan.StoreStats `json:"store,omitempty"`
 	Candidates []scan.Candidate `json:"candidates,omitempty"`
 }
@@ -310,25 +306,12 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		s.handleScanWindow(ctx, w, det, l, &req, store)
 		return
 	}
-	tiled := s.cfg.TiledScanRects > 0 && l.NumRects() >= s.cfg.TiledScanRects
-	if req.Tiled != nil {
-		tiled = *req.Tiled
-	}
-	resp := scanResponse{Rects: l.NumRects(), Tiled: tiled}
-	var err error
-	if tiled {
-		var stats core.ScanStats
-		resp.Report, stats, err = det.ScanTiledContext(ctx, l, core.ScanOptions{Tile: req.Tile, Store: store})
-		resp.Tiles = &stats
-		resp.Store = stats.Store
-	} else {
-		resp.Report, err = det.DetectContext(ctx, l)
-	}
+	rep, stats, err := det.ScanTiledContext(ctx, l, core.ScanOptions{Tile: req.Tile, Store: store})
 	if err != nil {
 		writeScanError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, scanResponse{Rects: l.NumRects(), Report: rep, Tiles: &stats, Store: stats.Store})
 }
 
 // handleScanWindow serves one shard of a distributed scan: the window's
@@ -357,7 +340,6 @@ func (s *Server) handleScanWindow(ctx context.Context, w http.ResponseWriter, de
 	}
 	writeJSON(w, http.StatusOK, scanResponse{
 		Rects:      l.NumRects(),
-		Tiled:      true,
 		Tiles:      &stats,
 		Store:      stats.Store,
 		Candidates: cands,

@@ -71,16 +71,9 @@ type Config struct {
 	// ScanConcurrency bounds concurrent /v1/scan evaluations, which each
 	// own a full detection pipeline run (default 2; excess gets 429).
 	ScanConcurrency int
-	// TiledScanRects is the rectangle count at which /v1/scan routes a
-	// posted layout through the tiled scan pipeline (bounded memory,
-	// work-stealing tile workers) instead of the monolithic detect path.
-	// Default 250000; negative disables automatic routing (clients can
-	// still request tiling explicitly). Progress is visible while a scan
-	// runs as the scan.tiles_done counter under /debug/vars.
-	TiledScanRects int
 	// StorePath, when non-empty, maintains a persistent tile result store
-	// at this path: tiled /v1/scan requests (whole-layout and window
-	// alike) serve unchanged tiles from the store and evaluate only dirty
+	// at this path: /v1/scan requests (whole-layout and window alike)
+	// serve unchanged tiles from the store and evaluate only dirty
 	// ones, with cache counters in the response. The store is keyed under
 	// the served model's digest; /v1/reload with a different model
 	// invalidates and rebuilds it. Clients opt out per request with
@@ -126,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScanConcurrency <= 0 {
 		c.ScanConcurrency = 2
-	}
-	if c.TiledScanRects == 0 {
-		c.TiledScanRects = 250_000
 	}
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()

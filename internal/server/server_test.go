@@ -627,6 +627,9 @@ func TestScanEndpoint(t *testing.T) {
 	if sr.Rects != len(b.Test.Rects(b.Layer)) {
 		t.Fatalf("scanned %d rects, posted %d", sr.Rects, len(b.Test.Rects(b.Layer)))
 	}
+	if sr.Tiles == nil || sr.Tiles.TilesDone == 0 {
+		t.Fatalf("plain scan response without tile counters: %+v", sr.Tiles)
+	}
 	want := det.Detect(b.Test)
 	if sr.Report.Candidates == 0 || sr.Report.Candidates != want.Candidates {
 		t.Fatalf("candidates %d, want %d", sr.Report.Candidates, want.Candidates)
@@ -636,9 +639,10 @@ func TestScanEndpoint(t *testing.T) {
 	}
 }
 
-// TestScanEndpointTiled forces the tiled pipeline and requires the same
-// detection outcome as the monolithic path, plus live tile counters in the
-// metrics registry (the /debug/vars progress signal).
+// TestScanEndpointTiled scans at an explicit tile side and requires the
+// same detection outcome as Detect, tile counters in the response, and
+// live tile counters in the metrics registry (the /debug/vars progress
+// signal).
 func TestScanEndpointTiled(t *testing.T) {
 	b, det := fixture(t)
 	s := testServer(t, nil, Config{RequestTimeout: 10 * time.Minute})
@@ -646,7 +650,7 @@ func TestScanEndpointTiled(t *testing.T) {
 	defer ts.Close()
 
 	layer := b.Layer
-	req := scanRequest{Name: "scan_test", Layer: &layer, Tiled: boolPtr(true), Tile: 16000}
+	req := scanRequest{Name: "scan_test", Layer: &layer, Tile: 16000}
 	for _, r := range b.Test.Rects(layer) {
 		req.Rects = append(req.Rects, [4]geom.Coord{r.X0, r.Y0, r.X1, r.Y1})
 	}
@@ -663,8 +667,8 @@ func TestScanEndpointTiled(t *testing.T) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatalf("decoding scan response: %v", err)
 	}
-	if !sr.Tiled || sr.Tiles == nil || sr.Tiles.TilesDone == 0 {
-		t.Fatalf("tiled scan metadata missing: tiled=%v tiles=%+v", sr.Tiled, sr.Tiles)
+	if sr.Tiles == nil || sr.Tiles.TilesDone == 0 {
+		t.Fatalf("tile counters missing: %+v", sr.Tiles)
 	}
 	want := det.Detect(b.Test)
 	if sr.Report.Candidates != want.Candidates {
@@ -878,8 +882,8 @@ func TestScanEndpointWindow(t *testing.T) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatalf("decoding window scan response: %v", err)
 	}
-	if !sr.Tiled || sr.Tiles == nil || sr.Tiles.TilesDone == 0 {
-		t.Fatalf("window scan metadata missing: tiled=%v tiles=%+v", sr.Tiled, sr.Tiles)
+	if sr.Tiles == nil || sr.Tiles.TilesDone == 0 {
+		t.Fatalf("window scan metadata missing: tiles=%+v", sr.Tiles)
 	}
 	want, _, err := det.ScanShardContext(context.Background(), b.Test, win, geom.Pt(gb.X0, gb.Y0), core.ScanOptions{Tile: tile})
 	if err != nil {
@@ -922,7 +926,7 @@ func TestScanEndpointStore(t *testing.T) {
 	tiledScan := func(incremental *bool) scanResponse {
 		t.Helper()
 		layer := b.Layer
-		req := scanRequest{Name: "scan_test", Layer: &layer, Tiled: boolPtr(true), Tile: 16000, Incremental: incremental}
+		req := scanRequest{Name: "scan_test", Layer: &layer, Tile: 16000, Incremental: incremental}
 		for _, r := range b.Test.Rects(layer) {
 			req.Rects = append(req.Rects, [4]geom.Coord{r.X0, r.Y0, r.X1, r.Y1})
 		}

@@ -7,10 +7,11 @@
 # stored two shards and resume it from the store — every distributed
 # report must be byte-identical to the local reference. Then a layout
 # whose coordinates reach the int32 limit is posted to the surviving
-# backend: it must answer 400 and stay ready. Last, the benchmark's
-# training clip set is posted to /v1/detect whole, then its first 16 clips
-# one per request: each lone label must equal that clip's label in the
-# whole set's answer.
+# backend: it must answer 400 and stay ready, and a small in-range layout
+# in an old body that still carries "tiled": false must scan (200, with
+# tile counters). Last, the benchmark's training clip set is posted to
+# /v1/detect whole, then its first 16 clips one per request: each lone
+# label must equal that clip's label in the whole set's answer.
 #
 # Mirrors the `e2e` job in .github/workflows/ci.yml; run locally with
 # `make e2e`. Tunables (env): BENCH, SCALE, TILE, SHARDS, PORT1, PORT2.
@@ -145,6 +146,24 @@ if [ "$ready" != 200 ]; then
   exit 1
 fi
 
+echo "==> old /v1/scan body: \"tiled\": false is ignored and the layout scans"
+code=$(curl -s -o "$work/old-body.json" -w '%{http_code}' --max-time 60 \
+  -d '{"rects": [[0,0,1200,200],[0,600,1200,800],[300,1200,500,2400]], "tiled": false}' \
+  "http://127.0.0.1:$PORT1/v1/scan")
+if [ "$code" != 200 ]; then
+  echo "old body: status $code, want 200" >&2
+  cat "$work/old-body.json" >&2
+  exit 1
+fi
+python3 - "$work/old-body.json" <<'PY'
+import json, sys
+resp = json.load(open(sys.argv[1]))
+done = (resp.get("tiles") or {}).get("TilesDone", 0)
+if done <= 0:
+    sys.exit(f"old body: response without tiles done: {resp}")
+print(f"    scanned {resp['rects']} rects in {done} tiles")
+PY
+
 echo "==> /v1/detect: the training clip set whole, then 16 clips one per request"
 "$bin" gen -bench "$BENCH" -scale "$SCALE" -train "$work/clips.json" -out "$work/gen.gds" >/dev/null
 code=$(curl -s -o "$work/detect-set.json" -w '%{http_code}' --max-time 60 \
@@ -185,4 +204,4 @@ for i in range(16):
 print(f"    {n} clips in one request; 16 lone answers match their set labels")
 PY
 
-echo "e2e smoke: OK (distributed reports byte-identical to local scan; hostile body refused; lone /v1/detect labels match the batch)"
+echo "e2e smoke: OK (distributed reports byte-identical to local scan; hostile body refused; old body scanned; lone /v1/detect labels match the batch)"
