@@ -42,9 +42,9 @@ func rectLayout(rects ...geom.Rect) *layout.Layout {
 // TestScanEntryPointsRefuseOutOfRangeLayouts feeds DetectContext,
 // ScanTiledContext and ScanShardContext layouts whose tiles, halos or clip
 // windows would leave the int32 coordinate range, and a tiled layout whose
-// grid exceeds the tile ceiling. Each must fail at once with its typed
-// error; before the checks, the dissection and tiling loops wrapped and
-// appended until the process ran out of memory.
+// grid exceeds the tile ceiling at the tile side asked for. Each must fail
+// at once with its typed error; before the checks, the dissection and
+// tiling loops wrapped and appended until the process ran out of memory.
 func TestScanEntryPointsRefuseOutOfRangeLayouts(t *testing.T) {
 	d, err := Load(bytes.NewReader(fuzzModel(t, 1, nil)))
 	if err != nil {
@@ -71,7 +71,10 @@ func TestScanEntryPointsRefuseOutOfRangeLayouts(t *testing.T) {
 			_, _, err := d.ScanTiledContext(ctx, rectLayout(geom.R(0, 0, 1000, 100)), ScanOptions{Tile: math.MaxInt32 - 1000})
 			return err
 		}, ErrCoordRange},
-		{"tiled grid above the ceiling", func() error { _, _, err := d.ScanTiledContext(ctx, tooManyTiles, ScanOptions{}); return err }, scan.ErrTooManyTiles},
+		{"tiled grid above the ceiling", func() error {
+			_, _, err := d.ScanTiledContext(ctx, tooManyTiles, ScanOptions{Tile: scan.DefaultTileFactor * d.Config().Spec.ClipSide})
+			return err
+		}, scan.ErrTooManyTiles},
 		{"shard window near MaxInt32", func() error {
 			_, _, err := d.ScanShardContext(ctx, nearMax, geom.R(2147482000, 0, math.MaxInt32, 100), geom.Pt(2147482000, 0), ScanOptions{})
 			return err
@@ -87,6 +90,56 @@ func TestScanEntryPointsRefuseOutOfRangeLayouts(t *testing.T) {
 	}
 }
 
+// hotspotPattern is a small layout on which the hand-built test model
+// reports hotspots.
+func hotspotPattern() *layout.Layout {
+	return rectLayout(
+		geom.R(0, 0, 3000, 200), geom.R(0, 600, 3000, 800),
+		geom.R(1400, 0, 1600, 3000), geom.R(2400, 1200, 4000, 1400),
+	)
+}
+
+// TestDetectSparseLayoutAboveTileCeiling detects layouts whose bounds make
+// more tiles than the grid ceiling at the default factor's tile side: two
+// small rectangles, and the hotspot pattern, at opposite corners of a
+// 10^9-dbu square. The default tile side rises to the smallest side that
+// fits instead of failing the scan, so Detect reports what the monolithic
+// reference does, with no error.
+func TestDetectSparseLayoutAboveTileCeiling(t *testing.T) {
+	d, err := Load(bytes.NewReader(fuzzModel(t, 1, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := d.Config().Spec
+	const far = 1_000_000_000
+	corners := layout.New("corners")
+	for _, off := range []geom.Coord{0, far} {
+		for _, r := range hotspotPattern().Rects(1) {
+			corners.AddRect(1, r.Translate(off, off))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		l    *layout.Layout
+	}{
+		{"rects", rectLayout(geom.R(0, 0, 1000, 100), geom.R(far, far, far+1000, far+100))},
+		{"hotspot pattern", corners},
+	} {
+		if side := scan.DefaultTile(spec, tc.l.Bounds); side <= scan.DefaultTileFactor*spec.ClipSide {
+			t.Fatalf("%s: default tile side %d was not raised; the layout does not test the ceiling", tc.name, side)
+		}
+		var rep Report
+		withinDeadline(t, 60*time.Second, func() { rep, err = d.DetectContext(context.Background(), tc.l) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		reportsEqual(t, tc.name, rep, d.detectReference(tc.l))
+	}
+	if rep := d.detectReference(corners); len(rep.Hotspots) == 0 {
+		t.Fatal("the hand-built model reports no hotspot on the corner patterns; the test shows nothing")
+	}
+}
+
 // TestDetectAtCoordRangeEdge moves a small layout as close to the int32
 // limit as checkCoordRange allows. The margin must be enough: Detect and
 // the tiled scan finish and report the same hotspots, moved, as at the
@@ -96,10 +149,7 @@ func TestDetectAtCoordRangeEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := rectLayout(
-		geom.R(0, 0, 3000, 200), geom.R(0, 600, 3000, 800),
-		geom.R(1400, 0, 1600, 3000), geom.R(2400, 1200, 4000, 1400),
-	)
+	base := hotspotPattern()
 	spec := d.Config().Spec
 	margin := scan.DefaultTileFactor*spec.ClipSide + spec.CoreSide + spec.Ambit() + spec.ClipSide
 	gb := base.GeometryBounds()

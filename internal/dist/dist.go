@@ -258,7 +258,7 @@ func Scan(ctx context.Context, det *core.Detector, l *layout.Layout, opts Option
 	}
 	tile := opts.Tile
 	if tile == 0 {
-		tile = scan.DefaultTileFactor * cfg.Spec.ClipSide
+		tile = scan.DefaultTile(cfg.Spec, l.Bounds)
 	}
 	if tile < cfg.Spec.CoreSide {
 		return rep, stats, fmt.Errorf("dist: tile side %d below core side %d", tile, cfg.Spec.CoreSide)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hotspot/internal/clip"
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 )
@@ -49,28 +50,48 @@ func minTileSide(bounds geom.Rect, tooSmall geom.Coord) geom.Coord {
 	return hi
 }
 
-// tilesOver partitions bounds into a grid of side-by-side tiles of the
-// given side (edge tiles are clipped to the bounds). Tiles are half-open
-// on both axes, so every dissection anchor — which always lies strictly
+// DefaultTile is the tile side a scan of span uses when none is given:
+// DefaultTileFactor clip sides, raised to the smallest side at which span
+// fits in the tile ceiling. The side never changes what a scan reports,
+// only how its work is cut, so a sparse layout spanning more than the
+// ceiling at the default side still scans.
+func DefaultTile(spec clip.Spec, span geom.Rect) geom.Coord {
+	side := DefaultTileFactor * spec.ClipSide
+	if !tilesFit(span, side) {
+		side = minTileSide(span, side)
+	}
+	return side
+}
+
+// tileGrid partitions bounds into a row-major grid of side-by-side tiles
+// of the given side (edge tiles are clipped to the bounds), addressed by
+// index so a scan never materializes its tile list. Tiles are half-open on
+// both axes, so every dissection anchor — which always lies strictly
 // inside the bounds on its low sides — belongs to exactly one tile. Tile
 // edges step in int64, so a side reaching past the int32 range ends the
 // row instead of wrapping; callers bound the count with checkTileGrid.
-func tilesOver(bounds geom.Rect, side geom.Coord) []geom.Rect {
+type tileGrid struct {
+	bounds geom.Rect
+	side   geom.Coord
+	nx, n  int64
+}
+
+func newTileGrid(bounds geom.Rect, side geom.Coord) tileGrid {
 	nx, ny := bounds.Cells(side)
-	if nx == 0 || ny == 0 {
-		return nil
-	}
-	out := make([]geom.Rect, 0, nx*ny)
+	return tileGrid{bounds: bounds, side: side, nx: nx, n: nx * ny}
+}
+
+// tile returns tile i of the grid, 0 <= i < g.n.
+func (g tileGrid) tile(i int64) geom.Rect {
 	edge := func(lo geom.Coord, i int64, hi geom.Coord) geom.Coord {
-		return geom.Coord(min(int64(lo)+i*int64(side), int64(hi)))
+		return geom.Coord(min(int64(lo)+i*int64(g.side), int64(hi)))
 	}
-	for iy := int64(0); iy < ny; iy++ {
-		y0, y1 := edge(bounds.Y0, iy, bounds.Y1), edge(bounds.Y0, iy+1, bounds.Y1)
-		for ix := int64(0); ix < nx; ix++ {
-			out = append(out, geom.Rect{X0: edge(bounds.X0, ix, bounds.X1), Y0: y0, X1: edge(bounds.X0, ix+1, bounds.X1), Y1: y1})
-		}
+	ix, iy := i%g.nx, i/g.nx
+	b := g.bounds
+	return geom.Rect{
+		X0: edge(b.X0, ix, b.X1), Y0: edge(b.Y0, iy, b.Y1),
+		X1: edge(b.X0, ix+1, b.X1), Y1: edge(b.Y0, iy+1, b.Y1),
 	}
-	return out
 }
 
 // quadrants splits a tile at its midpoints into up to four half-open

@@ -58,12 +58,12 @@ func hostileServer(t testing.TB) *Server {
 
 // hostileBodies are /v1/scan bodies whose layouts a scan cannot tile or
 // dissect without leaving the int32 coordinate range, or whose tile grid
-// is above the ceiling.
+// is above the ceiling at the tile side they ask for.
 var hostileBodies = []struct{ name, body string }{
 	{"near MaxInt32", `{"rects": [[2147482000,0,2147483647,100]]}`},
 	{"near MaxInt32 tiled", `{"rects": [[2147482000,0,2147483647,100]], "tiled": true}`},
 	{"wider than int32", `{"rects": [[-2000000000,-2000000000,-1999999000,-1999999900],[2000000000,2000000000,2000001000,2000000100]], "tiled": true}`},
-	{"too many tiles", `{"rects": [[0,0,1000,100],[1000000000,1000000000,1000001000,1000000100]], "tiled": true}`},
+	{"too many tiles", `{"rects": [[0,0,1000,100],[1000000000,1000000000,1000001000,1000000100]], "tiled": true, "tile": 38400}`},
 	{"window near MaxInt32", `{"rects": [[2147482000,0,2147483647,100]], "window": [2147482000,0,2147483647,100], "snap_base": [2147482000,0]}`},
 }
 
